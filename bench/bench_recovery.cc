@@ -42,7 +42,6 @@
 #include "core/delay_scheduler.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
-#include "defense/audit_log.h"
 #include "defense/identity.h"
 #include "defense/query_gate.h"
 #include "defense/reputation.h"
@@ -380,15 +379,15 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   // allow a hair of slack for rank churn from the suspect's scan.
   const bool benign_ok =
       r.benign_p99_after <= r.benign_p99_before * 1.05 + 1e-9;
-  // The audit ring is capacity-bounded (sheds can outnumber its
-  // retention at full scale), so gate on the unbounded counter and
-  // only require that sheds are present in the retained audit window.
+  // Every shed is counted by the gate's denial counter and lands in
+  // its event ring (whose per-type counts survive wraparound).
   const bool audit_ok =
       registry
               .GetCounter("tarpit_gate_denials_total",
                           {{"reason", "overload"}})
               ->Value() == static_cast<int64_t>(r.shed) &&
-      gate.audit_log()->CountOf(AuditEvent::kOverloadShed) > 0;
+      gate.events()->CountOfType(obs::DefenseEventType::kOverloadShed) ==
+          r.shed;
   r.pass = budget_held && all_accounted && excess_shed && charge_kept &&
            penalty_accrued && benign_ok && audit_ok;
   return r;

@@ -4,9 +4,7 @@
 //   1. Closed-loop mixed 80/20 read/write throughput at 8 threads:
 //      MVCC write path (snapshot reads + group-committed version-store
 //      writes) vs the exclusive-lock baseline
-//      (ConcurrencyMode::kGlobalLock). The sharded door with MVCC off
-//      (writers take the DDL lock exclusively) is reported as the
-//      middle bar. Target: >= 2x (the CI gate).
+//      (ConcurrencyMode::kGlobalLock). Target: >= 2x (the CI gate).
 //   2. Open-loop latency, free of coordinated omission: requests fire
 //      on a FIXED arrival schedule (deterministic exponential
 //      interarrivals) and each latency is measured from the INTENDED
@@ -79,8 +77,8 @@ ProtectedDatabaseOptions MakeDelayOptions() {
 }
 
 std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
-    const fs::path& dir, ConcurrencyMode mode, bool mvcc,
-    size_t epoch_batch, Clock* clock,
+    const fs::path& dir, ConcurrencyMode mode, size_t epoch_batch,
+    Clock* clock,
     ProtectedDatabaseOptions opts = MakeDelayOptions()) {
   fs::create_directories(dir);
   ConcurrentDatabaseOptions copts;
@@ -89,7 +87,6 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
   copts.stats_shards = 64;
   copts.epoch_batch = epoch_batch;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
-  copts.mvcc_writes = mvcc;
   // Fold in larger batches: reclaim applies run in sorted key order,
   // so a bigger pass revisits each B+tree leaf consecutively and the
   // per-commit amortized fold cost drops with the batch size.
@@ -144,12 +141,11 @@ std::vector<std::vector<MixedOp>> MakeMixedOps(int threads, int ops) {
 
 /// Part 1: closed-loop 8-thread 80/20 throughput for one config.
 double RunMixedThroughput(const fs::path& base, ConcurrencyMode mode,
-                          bool mvcc,
                           const std::vector<std::vector<MixedOp>>& ops) {
   static int run_id = 0;
   const fs::path dir = base / ("mixed_" + std::to_string(run_id++));
   RealClock clock;
-  auto db = OpenConcurrent(dir, mode, mvcc, /*epoch_batch=*/256, &clock);
+  auto db = OpenConcurrent(dir, mode, /*epoch_batch=*/256, &clock);
   for (int i = 1; i <= kRows; ++i) {  // Warm pools / row cache.
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -178,7 +174,7 @@ double RunMixedThroughput(const fs::path& base, ConcurrencyMode mode,
 bench::OpenLoopStats RunOpenLoopMixed(const fs::path& base) {
   const fs::path dir = base / "openloop";
   RealClock clock;
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded, /*mvcc=*/true,
+  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
                            /*epoch_batch=*/256, &clock);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
@@ -219,8 +215,7 @@ double RunDrift(const fs::path& base) {
   // epoch_batch=1: access-side stats merge in submission order, so the
   // two doors see identical tracker states at every step.
   auto cdb = OpenConcurrent(cdir, ConcurrencyMode::kSharded,
-                            /*mvcc=*/true, /*epoch_batch=*/1, &vclock,
-                            opts);
+                            /*epoch_batch=*/1, &vclock, opts);
 
   const fs::path sdir = base / "drift_serial";
   fs::create_directories(sdir);
@@ -296,25 +291,20 @@ int main() {
   // scheduler hiccup, and the quantity under test is each door's
   // capacity, not the host's worst moment.
   const auto ops = MakeMixedOps(/*threads=*/8, kOpsPerThread);
-  const auto best_mixed = [&](ConcurrencyMode mode, bool mvcc) {
+  const auto best_mixed = [&](ConcurrencyMode mode) {
     double best = 0.0;
     for (int pass = 0; pass < 3; ++pass) {
-      best = std::max(best, RunMixedThroughput(base, mode, mvcc, ops));
+      best = std::max(best, RunMixedThroughput(base, mode, ops));
     }
     return best;
   };
-  const double qps_exclusive =
-      best_mixed(ConcurrencyMode::kGlobalLock, /*mvcc=*/false);
-  const double qps_nomvcc =
-      best_mixed(ConcurrencyMode::kSharded, /*mvcc=*/false);
-  const double qps_mvcc =
-      best_mixed(ConcurrencyMode::kSharded, /*mvcc=*/true);
+  const double qps_exclusive = best_mixed(ConcurrencyMode::kGlobalLock);
+  const double qps_mvcc = best_mixed(ConcurrencyMode::kSharded);
   const double speedup =
       qps_exclusive <= 0 ? 0.0 : qps_mvcc / qps_exclusive;
-  std::printf("mixed 80/20 @8t: mvcc %.0f qps | sharded-no-mvcc %.0f "
-              "qps | exclusive-lock %.0f qps -> %.2fx (target >= 2.0x) "
-              "%s\n",
-              qps_mvcc, qps_nomvcc, qps_exclusive, speedup,
+  std::printf("mixed 80/20 @8t: mvcc %.0f qps | exclusive-lock %.0f qps "
+              "-> %.2fx (target >= 2.0x) %s\n",
+              qps_mvcc, qps_exclusive, speedup,
               speedup >= 2.0 ? "PASS" : "FAIL");
 
   // 2. Open-loop (coordinated-omission-free) latency on the MVCC door.
@@ -340,7 +330,6 @@ int main() {
             "  \"rows\": %d,\n"
             "  \"ops_per_thread\": %d,\n"
             "  \"qps_mvcc_8t\": %.1f,\n"
-            "  \"qps_sharded_nomvcc_8t\": %.1f,\n"
             "  \"qps_exclusive_8t\": %.1f,\n"
             "  \"write_speedup_8t\": %.3f,\n"
             "  \"speedup_pass\": %s,\n"
@@ -352,7 +341,7 @@ int main() {
             "  \"drift_pass\": %s\n"
             "}\n",
             TinyConfig() ? "true" : "false", kRows, kOpsPerThread,
-            qps_mvcc, qps_nomvcc, qps_exclusive, speedup,
+            qps_mvcc, qps_exclusive, speedup,
             speedup >= 2.0 ? "true" : "false", ol.p50_us, ol.p99_us,
             ol.p999_us, ol.achieved_qps, drift,
             drift <= 1e-4 ? "true" : "false");

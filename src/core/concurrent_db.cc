@@ -91,7 +91,9 @@ class PhaseMarker {
 ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     std::unique_ptr<ProtectedDatabase> inner,
     ConcurrentDatabaseOptions concurrent_options)
-    : inner_(std::move(inner)), concurrent_options_(concurrent_options) {
+    : inner_(std::move(inner)),
+      concurrent_options_(concurrent_options),
+      version_store_(concurrent_options.version_store_stripes) {
   if (concurrent_options_.num_shards == 0) {
     concurrent_options_.num_shards = 1;
   }
@@ -135,17 +137,12 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
       row_stripes_.push_back(std::make_unique<RowStripe>());
       acct_stripes_.push_back(std::make_unique<AcctStripe>());
     }
-    if (concurrent_options_.mvcc_writes) {
-      epoch_mgr_ = std::make_unique<EpochManager>();
-      version_store_ = std::make_unique<VersionStore>(
-          concurrent_options_.version_store_stripes);
-      if (inner_->table() != nullptr) {
-        logical_rows_.store(inner_->table()->NumRows(),
-                            std::memory_order_relaxed);
-      }
-      last_reclaim_micros_ = inner_->clock()->NowMicros();
-    }
   }
+  if (inner_->table() != nullptr) {
+    logical_rows_.store(inner_->table()->NumRows(),
+                        std::memory_order_relaxed);
+  }
+  last_reclaim_micros_ = inner_->clock()->NowMicros();
   if (concurrent_options_.metrics != nullptr) {
     obs::MetricRegistry* m = concurrent_options_.metrics;
     m_requests_ = m->GetCounter("tarpit_db_requests_total");
@@ -167,24 +164,19 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     // The scheduler reads its registry from its own options; thread it
     // through so callers set one pointer, not two.
     concurrent_options_.scheduler.metrics = m;
-    if (epoch_mgr_ != nullptr) {
-      m_mvcc_installed_ =
-          m->GetCounter("tarpit_mvcc_versions_installed_total");
-      m_mvcc_applied_ = m->GetCounter("tarpit_mvcc_versions_applied_total");
-      m_mvcc_reclaimed_ =
-          m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
-      m_mvcc_reclaim_passes_ =
-          m->GetCounter("tarpit_mvcc_reclaim_passes_total");
-      m_mvcc_pins_ = m->GetCounter("tarpit_mvcc_snapshot_pins_total");
-      m_write_batches_ = m->GetCounter("tarpit_write_batches_total");
-      m_ddl_fences_ = m->GetCounter("tarpit_mvcc_ddl_fences_total");
-      m_mvcc_live_versions_ = m->GetGauge("tarpit_mvcc_live_versions");
-      m_mvcc_commit_epoch_ = m->GetGauge("tarpit_mvcc_commit_epoch");
-      m_mvcc_min_active_ = m->GetGauge("tarpit_mvcc_min_active_epoch");
-      obs::HistogramOptions ops;
-      ops.unit = "ops";
-      m_write_batch_ops_ = m->GetHistogram("tarpit_write_batch_ops", {}, ops);
-    }
+    m_mvcc_installed_ = m->GetCounter("tarpit_mvcc_versions_installed_total");
+    m_mvcc_applied_ = m->GetCounter("tarpit_mvcc_versions_applied_total");
+    m_mvcc_reclaimed_ = m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
+    m_mvcc_reclaim_passes_ = m->GetCounter("tarpit_mvcc_reclaim_passes_total");
+    m_mvcc_pins_ = m->GetCounter("tarpit_mvcc_snapshot_pins_total");
+    m_write_batches_ = m->GetCounter("tarpit_write_batches_total");
+    m_ddl_fences_ = m->GetCounter("tarpit_mvcc_ddl_fences_total");
+    m_mvcc_live_versions_ = m->GetGauge("tarpit_mvcc_live_versions");
+    m_mvcc_commit_epoch_ = m->GetGauge("tarpit_mvcc_commit_epoch");
+    m_mvcc_min_active_ = m->GetGauge("tarpit_mvcc_min_active_epoch");
+    obs::HistogramOptions ops;
+    ops.unit = "ops";
+    m_write_batch_ops_ = m->GetHistogram("tarpit_write_batch_ops", {}, ops);
   }
   sink_ = concurrent_options_.trace_sink;
   events_ = concurrent_options_.event_ring;
@@ -356,131 +348,92 @@ void ConcurrentProtectedDatabase::EndRequest(
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::FinishBlocking(
     Result<ProtectedResult> r, obs::RequestTrace* tr) {
-  if (!r.ok()) {
-    EndRequest(tr, r, /*cancelled=*/false);
-    return r;
-  }
-  const double delay =
-      concurrent_options_.serve_delays ? r->delay_seconds : 0.0;
-  PhaseMarker park(tr, inner_->clock());
-  if (scheduler_ == nullptr) {
-    // Seed behavior: the calling thread sleeps through its own stall
-    // (rounded up, so sub-microsecond charges still cost wall time).
-    if (delay > 0) inner_->clock()->SleepForSeconds(delay);
-    park.Mark(obs::TracePhase::kPark);
-    EndRequest(tr, r, /*cancelled=*/false);
-    return r;
-  }
-  // Blocking shim over the wheel: park and wait. Still one thread per
-  // in-flight stall for THIS caller (that is what blocking means), but
-  // the stall shares the same scheduling, accounting, cancellation and
-  // shutdown semantics as the async path.
+  // Blocking is a wait on the async completion: one thread per
+  // in-flight stall for THIS caller (that is what blocking means), with
+  // the same admission, serving, accounting and cancellation as the
+  // async entry points. `done` runs before FinishAsync returns when the
+  // request completes inline, else on a dispatcher thread; either way
+  // it is the last touch of `w`, so the waiter can live on this stack.
   struct Waiter {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
-    bool cancelled = false;
-  };
-  ResourceGovernor* gov = concurrent_options_.governor;
-  if (gov != nullptr) {
-    Status admit = gov->AdmitStall(0);
-    if (!admit.ok()) {
-      // Shed before park: the delay charge is already on the books
-      // (recorded in the compute phase), so an extraction suspect
-      // still pays — it just doesn't get to occupy a wheel slot.
-      EmitEvent(obs::DefenseEventType::kOverloadShed, 0,
-                r->delay_seconds, tr != nullptr ? tr->key : 0);
-      EndRequest(tr, r, /*cancelled=*/false);
-      return admit;
-    }
-  }
-  auto w = std::make_shared<Waiter>();
-  scheduler_->Submit(delay, [w, gov](bool cancelled) {
-    // Release first: expiry, cancellation and shutdown-drain all end
-    // the parked state, whatever the completion outcome.
-    if (gov != nullptr) gov->ReleaseStall(0);
-    std::lock_guard<std::mutex> lock(w->m);
-    w->done = true;
-    w->cancelled = cancelled;
-    w->cv.notify_all();
-  });
-  bool cancelled = false;
-  {
-    std::unique_lock<std::mutex> lock(w->m);
-    w->cv.wait(lock, [&] { return w->done; });
-    cancelled = w->cancelled;
-  }
-  park.Mark(obs::TracePhase::kPark);
-  EndRequest(tr, r, cancelled);
-  if (cancelled) {
-    return Status::Cancelled("stall cancelled before expiry");
-  }
-  return r;
+    Result<ProtectedResult> result = Status::Internal("unset");
+  } w;
+  FinishAsync(
+      std::move(r),
+      [&w](Result<ProtectedResult> out) {
+        std::lock_guard<std::mutex> lock(w.m);
+        w.result = std::move(out);
+        w.done = true;
+        w.cv.notify_one();
+      },
+      /*session=*/0, tr);
+  std::unique_lock<std::mutex> lock(w.m);
+  w.cv.wait(lock, [&] { return w.done; });
+  return std::move(w.result);
 }
 
 void ConcurrentProtectedDatabase::FinishAsync(Result<ProtectedResult> r,
                                               AsyncCompletion done,
                                               StallGroup session,
                                               obs::RequestTrace* tr) {
-  if (!r.ok()) {
-    // Nothing was charged; complete inline on the submitting thread.
-    EndRequest(tr, r, /*cancelled=*/false);
-    done(std::move(r));
-    return;
-  }
-  const double delay =
-      concurrent_options_.serve_delays ? r->delay_seconds : 0.0;
-  if (scheduler_ == nullptr) {
-    // Degenerate (async_stalls off): serve inline, then complete.
-    PhaseMarker park(tr, inner_->clock());
-    if (delay > 0) inner_->clock()->SleepForSeconds(delay);
-    park.Mark(obs::TracePhase::kPark);
-    EndRequest(tr, r, /*cancelled=*/false);
-    done(std::move(r));
-    return;
-  }
-  ResourceGovernor* gov = concurrent_options_.governor;
-  if (gov != nullptr) {
-    Status admit = gov->AdmitStall(0);
-    if (!admit.ok()) {
-      // Same keep-the-charge shed as FinishBlocking, completed inline.
-      EmitEvent(obs::DefenseEventType::kOverloadShed, 0,
-                r->delay_seconds, tr != nullptr ? tr->key : 0);
-      EndRequest(tr, r, /*cancelled=*/false);
-      done(std::move(admit));
-      return;
+  // Nothing to stall for after a compute-phase error; a shed refuses
+  // the stall. Either way the request completes without serving one.
+  Status refused = r.status();
+  ResourceGovernor* gov = nullptr;
+  if (refused.ok() && concurrent_options_.governor != nullptr) {
+    refused = concurrent_options_.governor->AdmitStall(0);
+    if (refused.ok()) {
+      gov = concurrent_options_.governor;
+    } else {
+      // Shed before serving: the delay charge is already on the books
+      // (recorded in the compute phase), so an extraction suspect
+      // still pays -- it just doesn't get to occupy a stall slot.
+      EmitEvent(obs::DefenseEventType::kOverloadShed, 0, r->delay_seconds,
+                tr != nullptr ? tr->key : 0);
     }
   }
-  auto shared = std::make_shared<Result<ProtectedResult>>(std::move(r));
-  // The submitting thread's stack frame is gone when the stall
-  // expires, so the trace rides the closure by value.
+  const double delay = refused.ok() && concurrent_options_.serve_delays
+                           ? r->delay_seconds
+                           : 0.0;
+  // The completion owns the request: a parked stall outlives the
+  // submitting thread's frame, so the trace rides along by value.
   obs::RequestTrace trace_copy;
   const bool traced = tr != nullptr;
   if (traced) trace_copy = *tr;
-  const int64_t park_start =
-      traced ? inner_->clock()->NowMicros() : 0;
-  scheduler_->Submit(
-      delay,
-      [this, shared, done = std::move(done), trace_copy, traced,
-       park_start, gov](bool cancelled) mutable {
-        if (gov != nullptr) gov->ReleaseStall(0);
-        obs::RequestTrace* t = traced ? &trace_copy : nullptr;
-        if (t != nullptr) {
-          t->phase_micros[static_cast<int>(obs::TracePhase::kPark)] +=
-              std::max<int64_t>(
-                  0, inner_->clock()->NowMicros() - park_start);
-        }
-        // Metrics/trace bookkeeping BEFORE the result is moved out.
-        EndRequest(t, *shared, cancelled);
-        if (cancelled) {
-          done(Status::Cancelled(
-              "session evicted or scheduler shut down before stall "
-              "expiry"));
-        } else {
-          done(std::move(*shared));
-        }
-      },
-      session);
+  const int64_t park_start = traced ? inner_->clock()->NowMicros() : 0;
+  auto complete = [this, r = std::move(r), refused, done = std::move(done),
+                   trace_copy, traced, park_start,
+                   gov](bool cancelled) mutable {
+    // Release first: expiry, cancellation and shutdown-drain all end
+    // the stall, whatever the completion outcome.
+    if (gov != nullptr) gov->ReleaseStall(0);
+    obs::RequestTrace* t = traced ? &trace_copy : nullptr;
+    if (t != nullptr) {
+      t->phase_micros[static_cast<int>(obs::TracePhase::kPark)] +=
+          std::max<int64_t>(0, inner_->clock()->NowMicros() - park_start);
+    }
+    // Metrics/trace bookkeeping BEFORE the result is moved out.
+    EndRequest(t, r, cancelled);
+    if (cancelled) {
+      done(Status::Cancelled(
+          "stall cancelled before expiry (session evicted or scheduler "
+          "shut down)"));
+    } else if (!refused.ok()) {
+      done(std::move(refused));
+    } else {
+      done(std::move(r));
+    }
+  };
+  if (!refused.ok() || scheduler_ == nullptr) {
+    // Without async_stalls the calling thread sleeps through its own
+    // stall (rounded up, so sub-microsecond charges still cost time).
+    if (delay > 0) inner_->clock()->SleepForSeconds(delay);
+    complete(/*cancelled=*/false);
+    return;
+  }
+  scheduler_->Submit(delay, std::move(complete), session);
 }
 
 size_t ConcurrentProtectedDatabase::CancelSession(StallGroup session) {
@@ -519,7 +472,7 @@ void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
 // --- MVCC write path. ----------------------------------------------------
 
 bool ConcurrentProtectedDatabase::CanLowerDml(const Statement& stmt) const {
-  if (epoch_mgr_ == nullptr || stmt.explain) return false;
+  if (stmt.explain) return false;
   Table* table = inner_->table();
   if (table == nullptr) return false;
   const std::string& name = table->name();
@@ -552,7 +505,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
     Table* table = inner_->table();
     TARPIT_RETURN_IF_ERROR(concurrent_options_.governor->CheckWrite(
         table != nullptr ? table->WalBacklogBytes() : 0,
-        version_store_ != nullptr ? version_store_->live_versions() : 0));
+        version_store_.live_versions()));
   }
   WriteOp op;
   op.stmt = &stmt;
@@ -583,15 +536,9 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
     });
     return std::move(op.result);
   }
-  // Leader: optionally let a burst accumulate (the write-path
-  // equivalent of the WAL's group-commit window, on the same injected
-  // clock), then drain the queue until it runs dry -- each queued
-  // statement is one commit epoch, and followers that arrived while a
-  // batch executed ride the next pass instead of waiting for a lock.
-  if (concurrent_options_.write_batch_window_micros > 0) {
-    inner_->clock()->SleepForMicros(
-        concurrent_options_.write_batch_window_micros);
-  }
+  // Leader: drain the queue until it runs dry -- each queued statement
+  // is one commit epoch, and followers that arrived while a batch
+  // executed ride the next pass instead of waiting for a lock.
   std::lock_guard<std::mutex> writer(writer_mu_);
   while (true) {
     std::vector<WriteOp*> batch;
@@ -640,10 +587,10 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   // published after the last install -- even when the statement errors
   // mid-way, so a partially applied multi-row INSERT exposes exactly
   // the prefix the serial executor would have persisted.
-  const uint64_t epoch = epoch_mgr_->current() + 1;
+  const uint64_t epoch = epoch_mgr_.current() + 1;
   size_t installed = 0;
   auto install = [&](int64_t key, bool tombstone, Row row) {
-    version_store_->Install(key, epoch, tombstone, std::move(row));
+    version_store_.Install(key, epoch, tombstone, std::move(row));
     ++installed;
     if (m_mvcc_installed_ != nullptr) m_mvcc_installed_->Increment();
     // Commit-time precision invalidation: the cached image is now
@@ -655,7 +602,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   // writes it, and we hold writer_mu_). Returns false when the key
   // does not exist.
   auto resolve = [&](int64_t key, Row* out) -> Result<bool> {
-    switch (version_store_->Head(key, out)) {
+    switch (version_store_.Head(key, out)) {
       case VersionLookup::kRow:
         return true;
       case VersionLookup::kTombstone:
@@ -788,7 +735,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   };
   Status st = run();
   if (installed > 0) {
-    epoch_mgr_->Publish(epoch);
+    epoch_mgr_.Publish(epoch);
     mvcc_commits_.fetch_add(1, std::memory_order_relaxed);
     ++commits_since_reclaim_;
     if (m_mvcc_commit_epoch_ != nullptr) {
@@ -796,7 +743,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
     }
     if (m_mvcc_live_versions_ != nullptr) {
       m_mvcc_live_versions_->Set(
-          static_cast<int64_t>(version_store_->live_versions()));
+          static_cast<int64_t>(version_store_.live_versions()));
     }
   }
   TARPIT_RETURN_IF_ERROR(st);
@@ -834,7 +781,7 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
   if (m_mvcc_min_active_ != nullptr) {
     m_mvcc_min_active_->Set(static_cast<int64_t>(boundary));
   }
-  Status st = version_store_->Reclaim(
+  Status st = version_store_.Reclaim(
       boundary,
       [&](int64_t key, bool tombstone, const Row& row) -> Status {
         {
@@ -863,7 +810,7 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
         }
         return Status::OK();
       });
-  const uint64_t total = version_store_->reclaimed_total();
+  const uint64_t total = version_store_.reclaimed_total();
   if (m_mvcc_reclaimed_ != nullptr && total > reclaimed_seen_) {
     m_mvcc_reclaimed_->Increment(
         static_cast<int64_t>(total - reclaimed_seen_));
@@ -871,7 +818,7 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
   reclaimed_seen_ = total;
   if (m_mvcc_live_versions_ != nullptr) {
     m_mvcc_live_versions_->Set(
-        static_cast<int64_t>(version_store_->live_versions()));
+        static_cast<int64_t>(version_store_.live_versions()));
   }
   return st;
 }
@@ -889,12 +836,12 @@ void ConcurrentProtectedDatabase::MaybeReclaim() {
     due = true;
   }
   if (!due) return;
-  if (version_store_->live_versions() == 0) {
+  if (version_store_.live_versions() == 0) {
     commits_since_reclaim_ = 0;
     last_reclaim_micros_ = inner_->clock()->NowMicros();
     return;
   }
-  const uint64_t boundary = epoch_mgr_->MinActiveLowerBound();
+  const uint64_t boundary = epoch_mgr_.MinActiveLowerBound();
   if (boundary == 0) return;  // A pin mid-publication; next pass.
   Status st = ReclaimVersions(boundary);
   if (!st.ok() && deferred_mvcc_status_.ok()) deferred_mvcc_status_ = st;
@@ -903,16 +850,15 @@ void ConcurrentProtectedDatabase::MaybeReclaim() {
 }
 
 Status ConcurrentProtectedDatabase::DrainVersions() {
-  if (version_store_ == nullptr ||
-      version_store_->live_versions() == 0) {
+  if (version_store_.live_versions() == 0) {
     return Status::OK();
   }
   // No commit can publish while we hold writer_mu_, so waiting out
   // snapshots older than the newest epoch terminates: pins cover one
   // row resolution (never a stall) and new pins land at the current
   // epoch.
-  const uint64_t target = epoch_mgr_->current();
-  while (epoch_mgr_->MinActiveLowerBound() < target) {
+  const uint64_t target = epoch_mgr_.current();
+  while (epoch_mgr_.MinActiveLowerBound() < target) {
     std::this_thread::yield();
   }
   Status st = ReclaimVersions(target);
@@ -930,15 +876,11 @@ ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
          "unsafe_inner() while queries are in flight -- the inner "
          "database is single-threaded");
   QuiesceStats();
-  if (epoch_mgr_ != nullptr) {
-    // Fold pending versions into base so inner inspections (NumRows,
-    // table scans, tracker state) are exact.
-    std::lock_guard<std::mutex> writer(writer_mu_);
-    Status st = DrainVersions();
-    if (!st.ok() && deferred_mvcc_status_.ok()) {
-      deferred_mvcc_status_ = st;
-    }
-  }
+  // Fold pending versions into base so inner inspections (NumRows,
+  // table scans, tracker state) are exact.
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  Status st = DrainVersions();
+  if (!st.ok() && deferred_mvcc_status_.ok()) deferred_mvcc_status_ = st;
   return inner_.get();
 }
 
@@ -1012,30 +954,26 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
     RowStripe& stripe = *row_stripes_[stripe_idx];
     Row row;
     bool resolved = false;
-    EpochManager::Snapshot snap;
-    if (epoch_mgr_ != nullptr) {
-      snap = epoch_mgr_->Pin();
-      if (m_mvcc_pins_ != nullptr) m_mvcc_pins_->Increment();
-      // Empty-store fast path: the pin's acquire edge means a chain
-      // lookup can only find versions installed before the pinned
-      // epoch's publish, and every such install incremented
-      // live_versions first -- reading 0 here proves the probe would
-      // miss. (The pin itself stays: it is what keeps the reclaimer
-      // from folding a newer commit into base mid-read below.)
-      switch (version_store_->live_versions() == 0
-                  ? VersionLookup::kMiss
-                  : version_store_->Lookup(key, snap.epoch(), &row)) {
-        case VersionLookup::kRow:
-          resolved = true;
-          break;
-        case VersionLookup::kTombstone:
-          // Deleted as of this snapshot. Like the serial path's base
-          // miss, nothing is recorded and nothing is charged.
-          return Status::NotFound("key not found: " +
-                                  std::to_string(key));
-        case VersionLookup::kMiss:
-          break;
-      }
+    EpochManager::Snapshot snap = epoch_mgr_.Pin();
+    if (m_mvcc_pins_ != nullptr) m_mvcc_pins_->Increment();
+    // Empty-store fast path: the pin's acquire edge means a chain
+    // lookup can only find versions installed before the pinned
+    // epoch's publish, and every such install incremented
+    // live_versions first -- reading 0 here proves the probe would
+    // miss. (The pin itself stays: it is what keeps the reclaimer
+    // from folding a newer commit into base mid-read below.)
+    switch (version_store_.live_versions() == 0
+                ? VersionLookup::kMiss
+                : version_store_.Lookup(key, snap.epoch(), &row)) {
+      case VersionLookup::kRow:
+        resolved = true;
+        break;
+      case VersionLookup::kTombstone:
+        // Deleted as of this snapshot. Like the serial path's base
+        // miss, nothing is recorded and nothing is charged.
+        return Status::NotFound("key not found: " + std::to_string(key));
+      case VersionLookup::kMiss:
+        break;
     }
     if (!resolved) {
       bool hit = false;
@@ -1182,7 +1120,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     // freely; row caches are invalidated because UPDATE/DELETE/DDL
     // change what GetByKey must observe.
     std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-    if (epoch_mgr_ != nullptr) {
+    {
       // DDL fence: with ddl_mu_ exclusive no snapshot can be pinned,
       // so the store drains completely and the fallback executes
       // against exact base state -- CREATE INDEX builds see every
@@ -1206,7 +1144,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
       inner_->update_tracker()->SyncRankIndex();
     }
     InvalidateRowCaches();
-    if (epoch_mgr_ != nullptr && inner_->table() != nullptr) {
+    if (inner_->table() != nullptr) {
       // The store is drained, so NumRows() is exact again.
       logical_rows_.store(inner_->table()->NumRows(),
                           std::memory_order_relaxed);
@@ -1219,15 +1157,12 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     // held SHARED -- the scan itself is safe alongside GetByKey misses;
     // the spine's exclusivity already excludes the count-cache flush
     // hook's storage writes. Spine -> storage is the global lock order.
-    // With MVCC on, the scan reads base storage, which cannot see
-    // unreclaimed versions: drain first and hold writer_mu_ across the
-    // scan so no commit slips in between. Writes may wait on a long
-    // SELECT; point readers never wait on either.
-    std::unique_lock<std::mutex> writer(writer_mu_, std::defer_lock);
-    if (epoch_mgr_ != nullptr) {
-      writer.lock();
-      TARPIT_RETURN_IF_ERROR(DrainVersions());
-    }
+    // The scan reads base storage, which cannot see unreclaimed
+    // versions: drain first and hold writer_mu_ across the scan so no
+    // commit slips in between. Writes may wait on a long SELECT; point
+    // readers never wait on either.
+    std::lock_guard<std::mutex> writer(writer_mu_);
+    TARPIT_RETURN_IF_ERROR(DrainVersions());
     stats_tracker_->WithExclusive([&](CountTracker*) {
       std::unique_lock<std::shared_mutex> us(update_stats_mu_);
       std::shared_lock<std::shared_mutex> lock(storage_mu_);
@@ -1349,14 +1284,14 @@ Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
     return inner_->BulkLoadRow(row);
   }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-  if (epoch_mgr_ != nullptr) {
+  {
     // Bulk loads write base storage directly; fence them behind a
     // drain so they cannot be shadowed by (or race) pending versions.
     std::lock_guard<std::mutex> writer(writer_mu_);
     TARPIT_RETURN_IF_ERROR(DrainVersions());
   }
   Status s = inner_->BulkLoadRow(row);
-  if (s.ok() && epoch_mgr_ != nullptr && inner_->table() != nullptr) {
+  if (s.ok() && inner_->table() != nullptr) {
     logical_rows_.store(inner_->table()->NumRows(),
                         std::memory_order_relaxed);
   }
@@ -1385,7 +1320,7 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
                                        /*sync=*/true);
   }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-  if (epoch_mgr_ != nullptr) {
+  {
     // Fold every pending version into base BEFORE the inner checkpoint
     // truncates the WAL -- commit-time WAL records are the only
     // durable form of unreclaimed versions.

@@ -70,25 +70,6 @@ struct ConcurrentDatabaseOptions {
   /// When false, delays are computed and accounted but not slept --
   /// for benches/simulations that measure rather than stall.
   bool serve_delays = true;
-  /// MVCC write path (kSharded only): eligible single-table DML
-  /// (INSERT, and primary-key-equality UPDATE/DELETE against the
-  /// protected table) lowers to group-committed version-store writes
-  /// under a SHARED DDL lock instead of excluding every reader.
-  /// Readers pin a snapshot epoch and resolve rows through the version
-  /// chains, so in steady state they never block on writers; a
-  /// reclaimer folds versions into base storage once no pinned
-  /// snapshot can still see older state. Ineligible statements (DDL,
-  /// range-predicate DML, EXPLAIN) fall back to the exclusive path
-  /// behind a version-store fence, which keeps the plan cache's
-  /// schema-version stamping and CREATE INDEX builds exact.
-  bool mvcc_writes = true;
-  /// Group-commit accumulation window for the write batcher: the
-  /// batch leader sleeps this long (on the injected clock, so virtual
-  /// time in simulations) before draining the queue, letting a burst
-  /// of concurrent writers share one leader pass -- the same idea as
-  /// the WAL's wal_group_commit_window_micros one layer up. 0 = drain
-  /// whatever queued while the previous batch executed.
-  int64_t write_batch_window_micros = 0;
   /// Reclaim cadence: fold reclaimable versions into base storage
   /// every N published commits (0 disables the commit trigger)...
   size_t mvcc_reclaim_every_commits = 64;
@@ -106,9 +87,10 @@ struct ConcurrentDatabaseOptions {
   /// wheel + dispatcher pool) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
   /// concurrently-stalled sessions. The *Async entry points complete
-  /// via callback on stall expiry; blocking GetByKey/ExecuteSql become
-  /// shims that park and wait. Off by default (seed behavior: the
-  /// calling thread sleeps through its own stall).
+  /// via callback on stall expiry. Off by default: the stall is slept
+  /// inline on the submitting thread, and the *Async entry points
+  /// complete there once it has passed. Blocking GetByKey/ExecuteSql
+  /// wait on the same completion either way.
   bool async_stalls = false;
   /// Wheel geometry and dispatcher pool used when async_stalls is on.
   /// With a VirtualClock the wheel fires instantly (simulation mode).
@@ -118,18 +100,19 @@ struct ConcurrentDatabaseOptions {
   /// the database and be safe from concurrent request threads. Null
   /// disables reputation here; requests without a RequestPrincipal are
   /// never escalated either way. Escalation happens in the COMPUTE
-  /// phase, before FinishBlocking/FinishAsync serves or parks the
-  /// stall, so the async park path parks the post-escalation delay.
+  /// phase, before the stall is served or parked, so what is served is
+  /// the post-escalation delay.
   PrincipalPenalty* reputation = nullptr;
   /// Overload governor (shed-before-collapse), typically shared with
-  /// the QueryGate. When set, a stall is admitted against the
-  /// parked-stall budgets before it reaches the wheel; refusals
-  /// complete with Status::Overloaded AFTER the delay charge was
-  /// recorded in the compute phase, so shed extraction-suspects still
-  /// pay their accounting/reputation penalty. The MVCC write path
-  /// additionally consults CheckWrite against the WAL-backlog and
-  /// live-version budgets at submit time. Not owned; must outlive the
-  /// database. Null disables governing (seed behavior).
+  /// the QueryGate. When set, every stall is admitted against the
+  /// parked-stall budgets before it is served (parked on the wheel or
+  /// slept inline) and released when it ends; refusals complete with
+  /// Status::Overloaded AFTER the delay charge was recorded in the
+  /// compute phase, so shed extraction-suspects still pay their
+  /// accounting/reputation penalty. The MVCC write path additionally
+  /// consults CheckWrite against the WAL-backlog and live-version
+  /// budgets at submit time. Not owned; must outlive the database.
+  /// Null disables governing (seed behavior).
   ResourceGovernor* governor = nullptr;
   /// When non-null the front door publishes request/cancellation
   /// counters, row-cache counters, and the per-policy delay-charged
@@ -211,9 +194,10 @@ class ConcurrentProtectedDatabase {
       const ConcurrentProtectedDatabase&) = delete;
 
   /// Executes one statement. SELECTs run concurrently with GetByKey
-  /// traffic; mutating statements are exclusive. The stall is served
-  /// outside all locks (slept inline, or parked on the wheel when
-  /// async_stalls is on).
+  /// traffic; eligible DML commits through the MVCC write path, other
+  /// mutating statements are exclusive. The stall is served outside
+  /// all locks (slept inline, or parked on the wheel when async_stalls
+  /// is on); the blocking entry points wait on the async completion.
   Result<ProtectedResult> ExecuteSql(const std::string& sql);
 
   /// Single-tuple retrieval on the striped path (kSharded) or under
@@ -241,8 +225,8 @@ class ConcurrentProtectedDatabase {
   /// wheel -> complete on expiry. The calling thread returns as soon
   /// as the computation is done; no thread is held for the stall.
   /// `session` groups the parked stall for CancelSession (0 = none).
-  /// Requires async_stalls (falls back to serving the stall inline on
-  /// the calling thread otherwise, then completing).
+  /// Without async_stalls the stall is slept inline on the calling
+  /// thread, then `done` fires there.
   void GetByKeyAsync(int64_t key, AsyncCompletion done,
                      StallGroup session = 0);
   void ExecuteSqlAsync(const std::string& sql, AsyncCompletion done,
@@ -307,9 +291,9 @@ class ConcurrentProtectedDatabase {
     return stats_tracker_.get();
   }
 
-  /// MVCC observability (null when the write path is off).
-  EpochManager* epoch_manager() { return epoch_mgr_.get(); }
-  VersionStore* version_store() { return version_store_.get(); }
+  /// MVCC observability.
+  EpochManager* epoch_manager() { return &epoch_mgr_; }
+  VersionStore* version_store() { return &version_store_; }
   /// Published version-store commits (one per lowered DML statement).
   uint64_t mvcc_commits() const {
     return mvcc_commits_.load(std::memory_order_relaxed);
@@ -442,12 +426,15 @@ class ConcurrentProtectedDatabase {
   /// trace to the sink. Safe with tr == null (metrics still recorded).
   void EndRequest(obs::RequestTrace* tr,
                   const Result<ProtectedResult>& r, bool cancelled);
-  /// Blocking stall service: sleeps inline, or (async_stalls) parks on
-  /// the wheel and waits -- the shim that keeps existing callers
-  /// working. Cancellation surfaces as Status::Cancelled.
+  /// Blocking entry points: FinishAsync, then wait for its completion.
   Result<ProtectedResult> FinishBlocking(Result<ProtectedResult> r,
                                          obs::RequestTrace* tr);
-  /// Async stall service: parks the stall and fires `done` on expiry.
+  /// The door's only stall service. Admits the stall with the
+  /// governor, serves it (parked on the wheel, or slept inline without
+  /// async_stalls), then ends the request and fires `done` with the
+  /// result -- or with Overloaded (shed) or Cancelled (session
+  /// eviction, shutdown). Errors from the compute phase complete at
+  /// once. The charge stays on the books in every case.
   void FinishAsync(Result<ProtectedResult> r, AsyncCompletion done,
                    StallGroup session, obs::RequestTrace* tr);
 
@@ -484,8 +471,8 @@ class ConcurrentProtectedDatabase {
   /// sharded read path asks the stats spine for a rank-free snapshot
   /// and the treap never appears on the read path.
   bool reads_need_rank_ = true;
-  std::unique_ptr<EpochManager> epoch_mgr_;
-  std::unique_ptr<VersionStore> version_store_;
+  EpochManager epoch_mgr_;
+  VersionStore version_store_;
   std::atomic<uint64_t> logical_rows_{0};
   std::atomic<uint64_t> mvcc_commits_{0};
   std::atomic<uint64_t> write_batches_{0};
@@ -521,7 +508,7 @@ class ConcurrentProtectedDatabase {
   obs::Counter* m_row_misses_ = nullptr;
   obs::Counter* m_rep_escalated_ = nullptr;
   obs::Histogram* m_delay_charged_ns_ = nullptr;
-  // MVCC / write-path instruments (null when metrics or MVCC are off).
+  // MVCC / write-path instruments (null when metrics are off).
   obs::Counter* m_mvcc_installed_ = nullptr;
   obs::Counter* m_mvcc_applied_ = nullptr;
   obs::Counter* m_mvcc_reclaimed_ = nullptr;

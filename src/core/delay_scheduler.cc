@@ -29,7 +29,7 @@ DelayScheduler::DelayScheduler(Clock* clock, DelaySchedulerOptions options)
   // Keep the full span addressable in an int64 shift.
   while (options_.wheel_bits * options_.levels > 32) --options_.levels;
 
-  virtual_ = options_.virtual_time || clock_->IsVirtual();
+  virtual_ = clock_->IsVirtual();
   tick_micros_ = options_.tick_micros;
   slots_per_level_ = size_t{1} << options_.wheel_bits;
   slot_mask_ = slots_per_level_ - 1;

@@ -41,10 +41,6 @@ struct DelaySchedulerOptions {
   /// in an overflow min-heap and are promoted onto the wheel when they
   /// come within range.
   size_t levels = 3;
-  /// Fire every submission instantly through the completion queue
-  /// (simulation mode). Also implied by Clock::IsVirtual(), so
-  /// simulations on a VirtualClock never spin a driver thread.
-  bool virtual_time = false;
   /// When non-null, the scheduler publishes wheel occupancy, cascade
   /// and overflow-promotion counts, completion-queue depth, and park /
   /// dispatch-lag latency histograms here (names are listed in
@@ -80,8 +76,9 @@ class DelayScheduler {
     kCancelPending,
   };
 
-  /// `clock` must outlive the scheduler. A virtual clock implies
-  /// instant-fire mode.
+  /// `clock` must outlive the scheduler. A virtual clock (and only
+  /// that) selects instant-fire simulation mode: every submission fires
+  /// at once through the completion queue and no driver thread runs.
   explicit DelayScheduler(Clock* clock, DelaySchedulerOptions options = {});
 
   /// Shutdown(kCancelPending) if still running.
@@ -124,7 +121,6 @@ class DelayScheduler {
   uint64_t overflow_promotions() const;
   /// Micros covered by the wheel before the overflow heap takes over.
   int64_t horizon_micros() const { return span_ticks_ * tick_micros_; }
-  bool virtual_time() const { return virtual_; }
   const DelaySchedulerOptions& options() const { return options_; }
 
  private:

@@ -11,12 +11,12 @@ QueryGate::QueryGate(ProtectedDatabase* db, QueryGateOptions options)
       reg_limiter_(options.registration_seconds_per_account,
                    options.registration_burst),
       coverage_monitor_(options.coverage),
-      // The audit trail stamps from the database's clock so
-      // virtual-clock simulations get reproducible timestamps.
-      audit_log_(db->clock()) {
-  audit_log_.BindMetrics(options_.metrics);
-  if (options_.events != nullptr) {
-    audit_log_.set_event_ring(options_.events);
+      events_(options.events) {
+  if (events_ == nullptr) {
+    obs::DefenseEventRingOptions ring;
+    ring.metrics = options_.metrics;
+    owned_events_ = std::make_unique<obs::DefenseEventRing>(ring);
+    events_ = owned_events_.get();
   }
   if (options_.metrics != nullptr) {
     obs::MetricRegistry* m = options_.metrics;
@@ -60,21 +60,33 @@ double QueryGate::NowSeconds() const {
   return db_->clock()->NowSeconds();
 }
 
+void QueryGate::Emit(obs::DefenseEventType type, const Identity& who,
+                     double magnitude, int64_t arg) {
+  // Stamped from the database's clock, so virtual-clock simulations
+  // get reproducible timestamps.
+  obs::DefenseEvent e;
+  e.time_micros = db_->clock()->NowMicros();
+  e.type = type;
+  e.principal = who.id;
+  e.subnet24 = who.Subnet24();
+  e.magnitude = magnitude;
+  e.arg = arg;
+  events_->Append(e);
+}
+
 Result<Identity> QueryGate::RegisterUser(uint32_t ipv4) {
   Result<Identity> id = reg_limiter_.Register(ipv4, NowSeconds());
-  AuditRecord record;
-  record.time_seconds = NowSeconds();
-  record.ipv4 = ipv4;
+  // Registration events carry the full source address in `arg`.
   if (id.ok()) {
-    record.event = AuditEvent::kRegistered;
-    record.identity = id->id;
+    Emit(obs::DefenseEventType::kRegistered, *id, 0.0, ipv4);
     if (m_registrations_ != nullptr) m_registrations_->Increment();
   } else {
-    record.event = AuditEvent::kRegistrationDenied;
-    record.magnitude = reg_limiter_.RetryAfter(NowSeconds());
+    Identity denied;
+    denied.ipv4 = ipv4;
+    Emit(obs::DefenseEventType::kRegistrationDenied, denied,
+         reg_limiter_.RetryAfter(NowSeconds()), ipv4);
     if (m_reg_denied_ != nullptr) m_reg_denied_->Increment();
   }
-  audit_log_.Record(record);
   return id;
 }
 
@@ -108,14 +120,9 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
                                               const std::string& sql) {
   const double now = NowSeconds();
   UserState& user = UserFor(identity.id);
-  AuditRecord record;
-  record.time_seconds = now;
-  record.identity = identity.id;
-  record.ipv4 = identity.ipv4;
   if (options_.per_user_lifetime_query_limit > 0 &&
       user.lifetime_queries >= options_.per_user_lifetime_query_limit) {
-    record.event = AuditEvent::kLifetimeCapHit;
-    audit_log_.Record(record);
+    Emit(obs::DefenseEventType::kLifetimeCapHit, identity, 0.0);
     if (m_denied_lifetime_ != nullptr) m_denied_lifetime_->Increment();
     // A tripped lifetime cap is the strongest perimeter signal there
     // is -- the storefront defense only fires on extraction-scale use.
@@ -130,9 +137,8 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
   // its own subnet bucket of per-user tokens it failed to use.
   TokenBucket& subnet = SubnetFor(identity.Subnet24());
   if (!subnet.TryAcquire(now)) {
-    record.event = AuditEvent::kRateLimitedSubnet;
-    record.magnitude = subnet.RetryAfter(now);
-    audit_log_.Record(record);
+    Emit(obs::DefenseEventType::kRateLimitedSubnet, identity,
+         subnet.RetryAfter(now));
     if (m_denied_subnet_ != nullptr) m_denied_subnet_->Increment();
     if (options_.reputation != nullptr) {
       options_.reputation->RecordSignal(identity.id, identity.Subnet24(),
@@ -148,9 +154,8 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
         std::to_string(subnet.RetryAfter(now)) + "s");
   }
   if (!user.bucket.TryAcquire(now)) {
-    record.event = AuditEvent::kRateLimitedUser;
-    record.magnitude = user.bucket.RetryAfter(now);
-    audit_log_.Record(record);
+    Emit(obs::DefenseEventType::kRateLimitedUser, identity,
+         user.bucket.RetryAfter(now));
     if (m_denied_user_ != nullptr) m_denied_user_->Increment();
     if (options_.reputation != nullptr) {
       options_.reputation->RecordSignal(identity.id, identity.Subnet24(),
@@ -198,9 +203,7 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
         db_->clock()->SleepForSeconds(extra);
       }
       result->delay_seconds += extra;
-      record.event = AuditEvent::kCoverageEscalated;
-      record.magnitude = escalation;
-      audit_log_.Record(record);
+      Emit(obs::DefenseEventType::kCoverageEscalated, identity, escalation);
       if (m_escalations_ != nullptr) m_escalations_->Increment();
     }
   }
@@ -229,9 +232,8 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
         db_->clock()->SleepForSeconds(extra);
       }
       result->delay_seconds += extra;
-      record.event = AuditEvent::kReputationEscalated;
-      record.magnitude = rep_factor;
-      audit_log_.Record(record);
+      Emit(obs::DefenseEventType::kReputationEscalated, identity,
+           rep_factor);
       if (m_rep_escalations_ != nullptr) m_rep_escalations_->Increment();
     }
   }
@@ -261,9 +263,8 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
   if (delay_hist != nullptr) {
     delay_hist->Record(obs::NanosFromSeconds(result->delay_seconds));
   }
-  record.event = AuditEvent::kQueryServed;
-  record.magnitude = result->delay_seconds;
-  audit_log_.Record(record);
+  Emit(obs::DefenseEventType::kQueryAdmitted, identity,
+       result->delay_seconds);
   return result;
 }
 
@@ -295,12 +296,8 @@ void QueryGate::ExecuteSqlAsync(const Identity& identity,
       // reputation surcharge -- is already charged and the served
       // tuples already fed breadth learning, so the suspect's penalty
       // sticks; only the wheel slot (and the tuple) is refused.
-      AuditRecord record;
-      record.event = AuditEvent::kOverloadShed;
-      record.identity = identity.id;
-      record.ipv4 = identity.ipv4;
-      record.magnitude = result->delay_seconds;
-      audit_log_.Record(record);
+      Emit(obs::DefenseEventType::kOverloadShed, identity,
+           result->delay_seconds);
       if (m_denied_overload_ != nullptr) m_denied_overload_->Increment();
       if (options_.risk != nullptr) {
         options_.risk->ObserveSignal(identity.id, 1.0, NowSeconds());

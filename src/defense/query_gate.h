@@ -11,7 +11,6 @@
 #include "core/delay_scheduler.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
-#include "defense/audit_log.h"
 #include "defense/coverage_monitor.h"
 #include "defense/identity.h"
 #include "defense/registration_limiter.h"
@@ -66,10 +65,11 @@ struct QueryGateOptions {
   /// the delay-charged histograms (split legitimate vs flagged by the
   /// coverage monitor) here. Must outlive the gate.
   obs::MetricRegistry* metrics = nullptr;
-  /// When non-null every audit record is mirrored into this binary
-  /// forensics ring (the AuditLog keeps only a bounded window; the
-  /// ring adds lock-free capture and structured querying). Not owned;
-  /// must outlive the gate.
+  /// The forensics ring every perimeter decision is appended to
+  /// (registrations, admissions, denials, escalations, sheds), stamped
+  /// from the database's clock. Not owned; must outlive the gate. When
+  /// null the gate owns a default 4096-slot ring that publishes to
+  /// `metrics`.
   obs::DefenseEventRing* events = nullptr;
   /// When non-null the gate feeds the extraction-risk scorer: every
   /// served tuple (breadth + rate), every multi-tuple statement
@@ -117,7 +117,9 @@ class QueryGate {
 
   RegistrationLimiter* registration_limiter() { return &reg_limiter_; }
   CoverageMonitor* coverage_monitor() { return &coverage_monitor_; }
-  AuditLog* audit_log() { return &audit_log_; }
+  /// The ring the gate appends its decisions to (options.events, or
+  /// the gate's own).
+  obs::DefenseEventRing* events() { return events_; }
   uint64_t LifetimeQueries(IdentityId id) const;
   const QueryGateOptions& options() const { return options_; }
 
@@ -130,12 +132,16 @@ class QueryGate {
   UserState& UserFor(IdentityId id);
   TokenBucket& SubnetFor(uint32_t subnet);
   double NowSeconds() const;
+  /// Appends one decision about `who` to the ring, stamped now.
+  void Emit(obs::DefenseEventType type, const Identity& who,
+            double magnitude, int64_t arg = 0);
 
   ProtectedDatabase* db_;
   QueryGateOptions options_;
   RegistrationLimiter reg_limiter_;
   CoverageMonitor coverage_monitor_;
-  AuditLog audit_log_;
+  std::unique_ptr<obs::DefenseEventRing> owned_events_;
+  obs::DefenseEventRing* events_ = nullptr;
   std::unordered_map<IdentityId, UserState> users_;
   std::unordered_map<uint32_t, TokenBucket> subnets_;
 

@@ -56,6 +56,7 @@ bool LoadClient::LaunchOne() {
                        /*nonblocking=*/true);
   if (!fd.ok()) {
     ++errors_;
+    ++settled_;
     return true;
   }
   conn->fd = *fd;
@@ -75,6 +76,7 @@ bool LoadClient::LaunchOne() {
   if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd, &ev) < 0) {
     CloseFd(conn->fd);
     ++errors_;
+    ++settled_;
     return true;
   }
   ++inflight_;
@@ -85,6 +87,8 @@ bool LoadClient::LaunchOne() {
 void LoadClient::FailConn(Conn* c) {
   if (c->fd < 0) return;
   if (c->state == Conn::State::kConnecting) --inflight_;
+  // A connection that had sent its request was settled then.
+  if (c->state != Conn::State::kAwait) ++settled_;
   ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c->fd, nullptr);
   CloseFd(c->fd);
   c->fd = -1;
@@ -120,6 +124,7 @@ void LoadClient::OnWritable(Conn* c) {
   c->out.clear();
   c->state = Conn::State::kAwait;
   ++sent_;
+  ++settled_;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.ptr = c;

@@ -52,7 +52,7 @@ class LoadClient {
   /// repeatedly until done() (all requests sent or failed), then keep
   /// calling to collect responses if desired.
   void Drive(int budget_millis);
-  bool done() const { return launched_ == options_.connections; }
+  bool done() const { return settled_ == options_.connections; }
 
   size_t connected() const { return connected_; }
   size_t requests_sent() const { return sent_; }
@@ -74,6 +74,7 @@ class LoadClient {
   int epfd_ = -1;
   std::vector<std::unique_ptr<Conn>> conns_;
   size_t launched_ = 0;   // Connects started (success or failure).
+  size_t settled_ = 0;    // Requests fully sent, or failed unsent.
   size_t inflight_ = 0;   // Connects not yet writable.
   size_t connected_ = 0;
   size_t sent_ = 0;

@@ -12,13 +12,14 @@
 namespace tarpit {
 namespace obs {
 
-/// What happened at the defense perimeter / inside the engine. Mirrors
-/// (and extends) defense::AuditEvent so the string AuditLog can route
-/// over this ring without loss; adds the engine-side events the audit
-/// trail never saw (cancellations, recovery, watchdog violations).
+/// What happened at the defense perimeter (the QueryGate's decisions)
+/// or inside the engine (cancellations, recovery, watchdog
+/// violations).
 enum class DefenseEventType : uint16_t {
   kRegistered = 0,
   kRegistrationDenied,
+  /// A query passed the perimeter and was served (magnitude: the
+  /// charged delay, escalations included).
   kQueryAdmitted,
   kRateLimitedUser,
   kRateLimitedSubnet,
@@ -58,8 +59,8 @@ struct DefenseEvent {
   /// Event-specific magnitude: delay seconds, escalation factor,
   /// retry-after seconds, drift fraction -- see the emitting site.
   double magnitude = 0;
-  /// Event-specific extra (tuple key, recovery-stat selector, check
-  /// index).
+  /// Event-specific extra (tuple key, full IPv4 of a registration,
+  /// recovery-stat selector, check index).
   int64_t arg = 0;
 };
 
@@ -74,8 +75,8 @@ struct DefenseEventRingOptions {
   MetricRegistry* metrics = nullptr;
 };
 
-/// Lock-free bounded multi-producer ring of defense events -- the
-/// structured successor to the string AuditLog. Producers claim a slot
+/// Lock-free bounded multi-producer ring of defense events -- the one
+/// forensic event log. Producers claim a slot
 /// with one fetch_add and publish with per-slot sequence stamps
 /// (seqlock discipline: `start` is stamped before the payload, `end`
 /// after, so a reader that observes both stamps equal to the slot's

@@ -6,10 +6,14 @@
 // TARPIT_STRESS_ITERS environment variable so sanitizer CI can shrink
 // them (see tests/CMakeLists.txt and .github/workflows/ci.yml).
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +24,8 @@
 #include "common/random.h"
 #include "core/concurrent_db.h"
 #include "core/popularity_delay.h"
+#include "core/resource_governor.h"
+#include "obs/metrics.h"
 #include "stats/concurrent_count_tracker.h"
 #include "stats/count_tracker.h"
 
@@ -608,6 +614,237 @@ TEST_F(ConcurrencyTest, ExecuteSqlAsyncParksSelectStall) {
   EXPECT_TRUE(done.load());
   EXPECT_TRUE(ok.load());
 }
+
+// ---------- Blocking / async parity ----------
+
+ResourceGovernorOptions ParkBudget(uint64_t max_parked_stalls) {
+  ResourceGovernorOptions go;
+  go.max_parked_stalls = max_parked_stalls;
+  return go;
+}
+
+ProtectedDatabaseOptions ParityOptions(double min_s, double max_s) {
+  ProtectedDatabaseOptions opts;
+  opts.mode = DelayMode::kAccessPopularity;
+  opts.popularity.scale = 1e-4;
+  opts.popularity.bounds = {min_s, max_s};
+  return opts;
+}
+
+// The blocking entry points wait on the async completion, so with
+// async_stalls off or on both kinds of entry point must agree on all a
+// caller or an operator can see: rows, charge, Metrics(), the
+// delay-charged histogram, and the Overloaded / Cancelled outcomes
+// that keep the charge.
+class DoorParityTest : public ::testing::TestWithParam<bool> {
+ protected:
+  struct Door {
+    explicit Door(uint64_t max_parked) : governor(ParkBudget(max_parked)) {}
+
+    int64_t ChargedSamples() {
+      return registry
+          .GetHistogram("tarpit_delay_charged_ns",
+                        {{"policy", "access-popularity"}})
+          ->Count();
+    }
+
+    obs::MetricRegistry registry;
+    ResourceGovernor governor;
+    std::unique_ptr<ConcurrentProtectedDatabase> db;
+  };
+
+  void SetUp() override {
+    // Parameterized names read "Case/On"; keep the directory flat.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    base_ = fs::temp_directory_path() /
+            ("tarpit_parity_" + name + "_" + std::to_string(::getpid()));
+    fs::remove_all(base_);
+  }
+  void TearDown() override { fs::remove_all(base_); }
+
+  std::unique_ptr<Door> OpenDoor(const std::string& name,
+                                 ProtectedDatabaseOptions opts,
+                                 uint64_t max_parked) {
+    auto door = std::make_unique<Door>(max_parked);
+    ConcurrentDatabaseOptions copts;
+    copts.async_stalls = GetParam();
+    copts.governor = &door->governor;
+    copts.metrics = &door->registry;
+    const fs::path dir = base_ / name;
+    fs::create_directories(dir);
+    auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                &clock_, opts, copts);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    if (!db.ok()) return nullptr;
+    door->db = std::move(*db);
+    EXPECT_TRUE(door->db
+                    ->ExecuteSql("CREATE TABLE items (id INT PRIMARY "
+                                 "KEY, v DOUBLE)")
+                    .ok());
+    for (int i = 1; i <= 32; ++i) {
+      EXPECT_TRUE(door->db
+                      ->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                     Value(0.5 * i)})
+                      .ok());
+    }
+    return door;
+  }
+
+  using Submit =
+      std::function<void(ConcurrentProtectedDatabase::AsyncCompletion)>;
+
+  /// Runs one request through an async entry point and waits for it.
+  static Result<ProtectedResult> Await(const Submit& submit) {
+    std::promise<Result<ProtectedResult>> promise;
+    std::future<Result<ProtectedResult>> future = promise.get_future();
+    submit([&promise](Result<ProtectedResult> r) {
+      promise.set_value(std::move(r));
+    });
+    return future.get();
+  }
+
+  fs::path base_;
+  RealClock clock_;
+};
+
+void ExpectSameMetrics(ConcurrentProtectedDatabase* a,
+                       ConcurrentProtectedDatabase* b) {
+  const ProtectedDatabaseMetrics ma = a->Metrics();
+  const ProtectedDatabaseMetrics mb = b->Metrics();
+  EXPECT_EQ(ma.total_requests, mb.total_requests);
+  EXPECT_EQ(ma.delays_charged, mb.delays_charged);
+  EXPECT_DOUBLE_EQ(ma.total_delay_seconds, mb.total_delay_seconds);
+  EXPECT_DOUBLE_EQ(ma.median_delay_seconds, mb.median_delay_seconds);
+  EXPECT_DOUBLE_EQ(ma.p99_delay_seconds, mb.p99_delay_seconds);
+}
+
+TEST_P(DoorParityTest, BlockingAndAsyncServeAndChargeAlike) {
+  // Millisecond-scale stalls: really served, never long.
+  auto blocking = OpenDoor("blocking", ParityOptions(0.0, 0.002), 1);
+  auto async = OpenDoor("async", ParityOptions(0.0, 0.002), 1);
+  ASSERT_NE(blocking, nullptr);
+  ASSERT_NE(async, nullptr);
+  ConcurrentProtectedDatabase* a = blocking->db.get();
+  ConcurrentProtectedDatabase* b = async->db.get();
+
+  Rng rng(7);
+  for (int i = 0; i < 48; ++i) {
+    SCOPED_TRACE(i);
+    // Keys past 32 miss: NotFound through both entry points.
+    const int64_t key = 1 + static_cast<int64_t>(rng.Uniform(40));
+    Result<ProtectedResult> ra = Status::Internal("unset");
+    Result<ProtectedResult> rb = Status::Internal("unset");
+    if (i % 3 == 0) {
+      ra = a->GetByKey(key);
+      rb = Await([&](auto done) { b->GetByKeyAsync(key, done); });
+    } else {
+      // A pk SELECT, or a pk UPDATE (the MVCC write path, uncharged).
+      const std::string sql =
+          i % 3 == 1 ? "SELECT * FROM items WHERE id = " + std::to_string(key)
+                     : "UPDATE items SET v = " + std::to_string(i) +
+                           ".5 WHERE id = " + std::to_string(key);
+      ra = a->ExecuteSql(sql);
+      rb = Await([&](auto done) { b->ExecuteSqlAsync(sql, done); });
+    }
+    ASSERT_EQ(ra.status().code(), rb.status().code())
+        << ra.status().ToString() << " vs " << rb.status().ToString();
+    if (!ra.ok()) continue;
+    EXPECT_EQ(ra->delay_seconds, rb->delay_seconds);
+    EXPECT_EQ(ra->result.rows, rb->result.rows);
+    EXPECT_EQ(ra->result.touched_keys, rb->result.touched_keys);
+  }
+  ExpectSameMetrics(a, b);
+  EXPECT_GT(a->Metrics().delays_charged, 0u);
+  EXPECT_EQ(blocking->ChargedSamples(), async->ChargedSamples());
+
+  // A governor at capacity sheds both kinds of entry point alike,
+  // AFTER the charge: it stays in Metrics() and in the histogram.
+  ASSERT_TRUE(blocking->governor.AdmitStall(0).ok());
+  ASSERT_TRUE(async->governor.AdmitStall(0).ok());
+  const ProtectedDatabaseMetrics before = a->Metrics();
+  const int64_t samples_before = blocking->ChargedSamples();
+  const std::string sql = "SELECT * FROM items WHERE id = 9";
+  EXPECT_TRUE(a->GetByKey(8).status().IsOverloaded());
+  EXPECT_TRUE(Await([&](auto done) { b->GetByKeyAsync(8, done); })
+                  .status()
+                  .IsOverloaded());
+  EXPECT_TRUE(a->ExecuteSql(sql).status().IsOverloaded());
+  EXPECT_TRUE(Await([&](auto done) { b->ExecuteSqlAsync(sql, done); })
+                  .status()
+                  .IsOverloaded());
+  const ProtectedDatabaseMetrics after = a->Metrics();
+  EXPECT_EQ(after.total_requests, before.total_requests + 2);
+  EXPECT_GT(after.total_delay_seconds, before.total_delay_seconds);
+  EXPECT_EQ(blocking->ChargedSamples(), samples_before + 2);
+  ExpectSameMetrics(a, b);
+  EXPECT_EQ(blocking->ChargedSamples(), async->ChargedSamples());
+  EXPECT_EQ(blocking->governor.shed_total(), 2u);
+  EXPECT_EQ(async->governor.shed_total(), 2u);
+  blocking->governor.ReleaseStall(0);
+  async->governor.ReleaseStall(0);
+  EXPECT_EQ(blocking->governor.parked_stalls(), 0u);
+  EXPECT_EQ(async->governor.parked_stalls(), 0u);
+}
+
+TEST_P(DoorParityTest, ShutdownCancelKeepsTheCharge) {
+  if (!GetParam()) {
+    GTEST_SKIP() << "without async_stalls stalls are slept inline: "
+                    "nothing parks, so shutdown has nothing to cancel";
+  }
+  // Hour-long stalls: only the shutdown ends them.
+  auto door = OpenDoor("cancel", ParityOptions(3600.0, 3600.0), 4);
+  ASSERT_NE(door, nullptr);
+  ConcurrentProtectedDatabase* db = door->db.get();
+  const ProtectedDatabaseMetrics before = db->Metrics();
+  const int64_t samples_before = door->ChargedSamples();
+
+  Result<ProtectedResult> blocking_get = Status::Internal("unset");
+  Result<ProtectedResult> blocking_sql = Status::Internal("unset");
+  std::thread get_thread([&] { blocking_get = db->GetByKey(3); });
+  std::thread sql_thread([&] {
+    blocking_sql = db->ExecuteSql("SELECT * FROM items WHERE id = 4");
+  });
+  std::promise<Result<ProtectedResult>> async_get, async_sql;
+  db->GetByKeyAsync(5, [&](Result<ProtectedResult> r) {
+    async_get.set_value(std::move(r));
+  });
+  db->ExecuteSqlAsync("SELECT * FROM items WHERE id = 6",
+                      [&](Result<ProtectedResult> r) {
+                        async_sql.set_value(std::move(r));
+                      });
+  while (db->delay_scheduler()->parked() < 4) std::this_thread::yield();
+  // Charged at compute time, before anything was served.
+  const ProtectedDatabaseMetrics parked = db->Metrics();
+  EXPECT_EQ(parked.total_requests, before.total_requests + 4);
+  EXPECT_GE(parked.total_delay_seconds,
+            before.total_delay_seconds + 4 * 3600.0);
+
+  db->delay_scheduler()->Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
+  get_thread.join();
+  sql_thread.join();
+  EXPECT_TRUE(blocking_get.status().IsCancelled())
+      << blocking_get.status().ToString();
+  EXPECT_TRUE(blocking_sql.status().IsCancelled())
+      << blocking_sql.status().ToString();
+  EXPECT_TRUE(async_get.get_future().get().status().IsCancelled());
+  EXPECT_TRUE(async_sql.get_future().get().status().IsCancelled());
+
+  // Cancellation cuts the serving short, not the bill.
+  const ProtectedDatabaseMetrics after = db->Metrics();
+  EXPECT_EQ(after.total_requests, parked.total_requests);
+  EXPECT_DOUBLE_EQ(after.total_delay_seconds, parked.total_delay_seconds);
+  EXPECT_EQ(door->ChargedSamples(), samples_before + 4);
+  EXPECT_EQ(door->registry.GetCounter("tarpit_db_cancelled_total")->Value(),
+            4);
+  EXPECT_EQ(door->governor.parked_stalls(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AsyncStalls, DoorParityTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "On" : "Off");
+                         });
 
 }  // namespace
 }  // namespace tarpit

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "defense/audit_log.h"
 #include "defense/coverage_monitor.h"
 #include "defense/identity.h"
 #include "defense/query_gate.h"
@@ -255,7 +254,6 @@ TEST_F(QueryGateTest, ExecuteSqlAsyncCompletesOnVirtualClock) {
   auto user = gate_->RegisterUser(Ipv4FromString("10.0.0.1"));
   ASSERT_TRUE(user.ok());
   DelayScheduler scheduler(&clock_);
-  ASSERT_TRUE(scheduler.virtual_time());
 
   std::atomic<bool> got_row{false};
   gate_->ExecuteSqlAsync(*user, "SELECT * FROM items WHERE id = 3",
@@ -337,45 +335,7 @@ TEST(QueryGateAsyncTest, SessionEvictionCancelsParkedStall) {
   fs::remove_all(dir);
 }
 
-// ---------- AuditLog ----------
-
-TEST(AuditLogTest, RingBufferEvictsOldest) {
-  AuditLog log(3);
-  for (int i = 0; i < 5; ++i) {
-    AuditRecord r;
-    r.time_seconds = i;
-    r.event = AuditEvent::kQueryServed;
-    log.Record(r);
-  }
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.total_recorded(), 5u);
-  double first = -1;
-  log.ForEach([&](const AuditRecord& r) {
-    first = r.time_seconds;
-    return false;  // Stop at the first (oldest).
-  });
-  EXPECT_EQ(first, 2.0);
-}
-
-TEST(AuditLogTest, CountsByEventAndIdentity) {
-  AuditLog log;
-  AuditRecord served;
-  served.event = AuditEvent::kQueryServed;
-  served.identity = 7;
-  AuditRecord limited;
-  limited.event = AuditEvent::kRateLimitedUser;
-  limited.identity = 7;
-  log.Record(served);
-  log.Record(served);
-  log.Record(limited);
-  EXPECT_EQ(log.CountOf(AuditEvent::kQueryServed), 2u);
-  EXPECT_EQ(log.CountOf(AuditEvent::kRateLimitedUser), 1u);
-  EXPECT_EQ(log.CountOf(AuditEvent::kLifetimeCapHit), 0u);
-  EXPECT_EQ(log.CountForIdentity(7), 3u);
-  EXPECT_EQ(log.CountForIdentity(8), 0u);
-  EXPECT_EQ(AuditEventName(AuditEvent::kCoverageEscalated),
-            "coverage-escalated");
-}
+// ---------- Gate decisions on the event ring ----------
 
 TEST_F(QueryGateTest, GateDecisionsAreAudited) {
   QueryGateOptions opts;
@@ -396,12 +356,15 @@ TEST_F(QueryGateTest, GateDecisionsAreAudited) {
       gate_->ExecuteSql(*user, "SELECT * FROM items WHERE id = 1");
   EXPECT_TRUE(limited.status().IsRateLimited());
 
-  AuditLog* log = gate_->audit_log();
-  EXPECT_EQ(log->CountOf(AuditEvent::kRegistered), 1u);
-  EXPECT_EQ(log->CountOf(AuditEvent::kRegistrationDenied), 1u);
-  EXPECT_EQ(log->CountOf(AuditEvent::kQueryServed), 2u);
-  EXPECT_EQ(log->CountOf(AuditEvent::kRateLimitedUser), 1u);
-  EXPECT_GE(log->CountForIdentity(user->id), 3u);
+  obs::DefenseEventRing* ring = gate_->events();
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kRegistered), 1u);
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kRegistrationDenied),
+            1u);
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kQueryAdmitted), 2u);
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kRateLimitedUser), 1u);
+  obs::DefenseEventRing::Query mine;
+  mine.principal = user->id;
+  EXPECT_GE(ring->Snapshot(mine).size(), 3u);
 }
 
 // ---------- CoverageMonitor boundary behavior ----------

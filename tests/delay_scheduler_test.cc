@@ -193,7 +193,6 @@ TEST(DelaySchedulerTest, VirtualClockFiresInstantlyInSubmissionOrder) {
   DelaySchedulerOptions opts;
   opts.num_dispatchers = 1;  // FIFO through the completion queue.
   DelayScheduler sched(&clock, opts);
-  ASSERT_TRUE(sched.virtual_time());
 
   std::mutex mu;
   std::vector<int> order;

@@ -30,7 +30,6 @@
 #include "core/delay_scheduler.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
-#include "defense/audit_log.h"
 #include "defense/identity.h"
 #include "defense/query_gate.h"
 #include "obs/failpoint_metrics.h"
@@ -708,7 +707,6 @@ TEST(CrashTortureTest, MvccGroupCommitReplaysIdempotently) {
   opts.table_options = rig.Options();
   ConcurrentDatabaseOptions copts;
   copts.mode = ConcurrencyMode::kSharded;
-  copts.mvcc_writes = true;
   copts.mvcc_reclaim_every_commits = 4;  // Partial reclaim guaranteed.
   copts.serve_delays = false;
 
@@ -986,7 +984,6 @@ TEST(ResourceGovernorTest, WriteShedsOnWalBacklog) {
   opts.popularity.scale = 0.001;
   ConcurrentDatabaseOptions copts;
   copts.mode = ConcurrencyMode::kSharded;
-  copts.mvcc_writes = true;
   copts.serve_delays = false;
   copts.governor = &gov;
   auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
@@ -1050,7 +1047,8 @@ TEST(ResourceGovernorTest, GateShedAuditsAndKeepsCharge) {
   EXPECT_TRUE(st.IsOverloaded()) << st.ToString();
   EXPECT_EQ(scheduler.parked(), 0u);
   // The shed is audited and counted...
-  EXPECT_EQ(gate.audit_log()->CountOf(AuditEvent::kOverloadShed), 1u);
+  EXPECT_EQ(gate.events()->CountOfType(obs::DefenseEventType::kOverloadShed),
+            1u);
   EXPECT_EQ(registry
                 .GetCounter("tarpit_gate_denials_total",
                             {{"reason", "overload"}})

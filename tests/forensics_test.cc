@@ -2,8 +2,7 @@
 // scraper, the self-audit watchdog (zero false positives benign,
 // one-pass detection of failpoint-injected ledger drift), extraction-
 // risk scoring against the adversary zoo, Chrome-trace export span
-// accounting, and the bounded AuditLog with its event-ring overflow
-// route.
+// accounting, and the QueryGate's decisions on the defense event ring.
 
 #include <cstdint>
 #include <filesystem>
@@ -13,14 +12,15 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/concurrent_db.h"
 #include "core/protected_db.h"
+#include "core/resource_governor.h"
 #include "core/self_audit.h"
-#include "defense/audit_log.h"
 #include "defense/query_gate.h"
 #include "obs/event_ring.h"
 #include "obs/metrics.h"
@@ -413,54 +413,176 @@ TEST(TraceExportTest, SpanCountMatchesRetainedUnion) {
   fs::remove_all(dir);
 }
 
-// ---------------- Bounded AuditLog ----------------------------------
+// ---------------- Gate decisions on the event ring -------------------
 
-TEST(AuditLogTest, BoundedMemoryCountsDropsAndRoutesToRing) {
-  VirtualClock clock;
-  obs::MetricRegistry registry;
-  obs::DefenseEventRing ring;
-  AuditLog log(&clock, /*capacity=*/4);
-  log.BindMetrics(&registry);
-  log.set_event_ring(&ring);
-
-  for (int i = 0; i < 10; ++i) {
-    clock.SleepForMicros(1'000'000);
-    AuditRecord record;
-    record.event = AuditEvent::kRateLimitedUser;
-    record.identity = static_cast<IdentityId>(i + 1);
-    record.magnitude = 1.0;
-    log.Record(record);
+// The gate's forensic trail is the DefenseEventRing: each perimeter
+// decision lands there stamped from the database's clock (virtual
+// here), attributed to the identity and its /24.
+class GateForensicsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("tarpit_gate_forensics_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    ProtectedDatabaseOptions opts;
+    opts.popularity.scale = 0.001;
+    opts.popularity.bounds = {0.0, 10.0};
+    // Charges are not slept, so only the test moves the clock.
+    opts.defer_delay_sleep = true;
+    auto pdb = ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
+    ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
+    pdb_ = std::move(*pdb);
+    ASSERT_TRUE(
+        pdb_->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+            .ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(
+          pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0 * i)})
+              .ok());
+    }
+  }
+  void TearDown() override {
+    pdb_.reset();
+    fs::remove_all(dir_);
   }
 
-  // The log is bounded: only the newest 4 survive, evictions counted.
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.total_recorded(), 10u);
-  EXPECT_EQ(log.dropped_total(), 6u);
-  EXPECT_EQ(log.CountOf(AuditEvent::kRateLimitedUser), 4u);
+  fs::path dir_;
+  VirtualClock clock_{5'000'000};  // t = 5 s.
+  std::unique_ptr<ProtectedDatabase> pdb_;
+};
+
+TEST_F(GateForensicsTest, DecisionsLandStampedWithPrincipalAndSubnet) {
+  obs::DefenseEventRing ring;
+  ReputationOptions ropts;
+  ropts.breadth_free_fraction = 1.0;  // Only the denial raises a penalty.
+  ReputationStore reputation(ropts);
+  ResourceGovernorOptions go;
+  go.max_parked_stalls = 1;
+  ResourceGovernor gov(go);
+  QueryGateOptions opts;
+  opts.registration_seconds_per_account = 1000.0;
+  opts.registration_burst = 1.0;
+  opts.per_user_queries_per_second = 1.0;
+  opts.per_user_burst = 1.0;
+  opts.reputation = &reputation;
+  opts.governor = &gov;
+  opts.events = &ring;
+  QueryGate gate(pdb_.get(), opts);
+  ASSERT_EQ(gate.events(), &ring);
+  const std::string sql = "SELECT * FROM items WHERE id = 3";
+
+  const uint32_t ip = Ipv4FromString("10.1.2.7");
+  auto user = gate.RegisterUser(ip);  // t = 5 s.
+  ASSERT_TRUE(user.ok());
+  clock_.SleepForSeconds(1.0);
+  const uint32_t other = Ipv4FromString("192.0.2.9");
+  EXPECT_TRUE(gate.RegisterUser(other).status().IsRateLimited());
+  clock_.SleepForSeconds(1.0);  // t = 7 s: one token, then denied.
+  auto served = gate.ExecuteSql(*user, sql);
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(gate.ExecuteSql(*user, sql).status().IsRateLimited());
+  clock_.SleepForSeconds(2.0);  // t = 9 s: escalated by the denial.
+  auto escalated = gate.ExecuteSql(*user, sql);
+  ASSERT_TRUE(escalated.ok());
+  clock_.SleepForSeconds(2.0);  // t = 11 s: escalated again, then shed.
+  DelayScheduler scheduler(&clock_);
+  ASSERT_TRUE(gov.AdmitStall(0).ok());  // Fill the only stall slot.
+  Status shed;
+  gate.ExecuteSqlAsync(*user, sql, &scheduler,
+                       [&](Result<ProtectedResult> r) { shed = r.status(); });
+  EXPECT_TRUE(shed.IsOverloaded()) << shed.ToString();
+  gov.ReleaseStall(0);
+
+  struct Want {
+    const char* name;
+    int64_t time_micros;
+    uint64_t principal;
+    uint32_t ipv4;
+  };
+  const Want want[] = {
+      {"registered", 5'000'000, user->id, ip},
+      {"registration-denied", 6'000'000, 0, other},
+      {"query-admitted", 7'000'000, user->id, ip},
+      {"rate-limited-user", 7'000'000, user->id, ip},
+      {"reputation-escalated", 9'000'000, user->id, ip},
+      {"query-admitted", 9'000'000, user->id, ip},
+      {"reputation-escalated", 11'000'000, user->id, ip},
+      {"query-admitted", 11'000'000, user->id, ip},
+      {"overload-shed", 11'000'000, user->id, ip},
+  };
+  const std::vector<obs::DefenseEvent> events = ring.Snapshot();
+  ASSERT_EQ(events.size(), std::size(want));
+  for (size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_STREQ(obs::DefenseEventTypeName(events[i].type), want[i].name);
+    EXPECT_EQ(events[i].time_micros, want[i].time_micros);
+    EXPECT_EQ(events[i].principal, want[i].principal);
+    EXPECT_EQ(events[i].subnet24, want[i].ipv4 & 0xFFFFFF00u);
+  }
+  // Registrations carry the full source address; the rest carry what
+  // each decision was about.
+  EXPECT_EQ(events[0].arg, static_cast<int64_t>(ip));
+  EXPECT_EQ(events[1].arg, static_cast<int64_t>(other));
+  EXPECT_GT(events[1].magnitude, 0.0);  // Retry-after seconds.
+  EXPECT_DOUBLE_EQ(events[2].magnitude, served->delay_seconds);
+  EXPECT_GT(events[3].magnitude, 0.0);  // Retry-after seconds.
+  EXPECT_GT(events[4].magnitude, 1.0);  // The penalty factor.
+  EXPECT_DOUBLE_EQ(events[5].magnitude, escalated->delay_seconds);
+  // The shed request's charge stays on the record.
+  EXPECT_GT(events[8].magnitude, 0.0);
+  EXPECT_DOUBLE_EQ(events[8].magnitude, events[7].magnitude);
+}
+
+TEST_F(GateForensicsTest, OwnedRingIsBoundedAndPublishesToMetrics) {
+  obs::MetricRegistry registry;
+  QueryGateOptions opts;
+  opts.registration_seconds_per_account = 1e9;
+  opts.registration_burst = 1.0;
+  opts.metrics = &registry;
+  QueryGate gate(pdb_.get(), opts);
+  obs::DefenseEventRing* ring = gate.events();
+  ASSERT_NE(ring, nullptr);
+  EXPECT_EQ(ring->capacity(), 4096u);
+
+  auto user = gate.RegisterUser(Ipv4FromString("10.0.0.1"));
+  ASSERT_TRUE(user.ok());
+  ASSERT_TRUE(gate.ExecuteSql(*user, "SELECT * FROM items WHERE id = 1").ok());
+  obs::DefenseEventRing::Query mine;
+  mine.principal = user->id;
+  EXPECT_EQ(ring->Snapshot(mine).size(), 2u);
+
+  const uint64_t kDenied = 4100;
+  for (uint64_t i = 0; i < kDenied; ++i) {
+    clock_.SleepForMicros(1);
+    ASSERT_FALSE(gate.RegisterUser(Ipv4FromString("10.0.0.2")).ok());
+  }
+  // Memory is fixed: the oldest six decisions were overwritten, and
+  // every overwrite is counted, in the ring and in the registry.
+  EXPECT_EQ(ring->appended_total(), kDenied + 2);
+  EXPECT_EQ(ring->dropped_total(), 6u);
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kRegistrationDenied),
+            kDenied);
+  EXPECT_EQ(ring->CountOfType(obs::DefenseEventType::kRegistered), 1u);
+  EXPECT_TRUE(ring->Snapshot(mine).empty());
+  const std::vector<obs::DefenseEvent> events = ring->Snapshot();
+  ASSERT_EQ(events.size(), 4096u);
+  EXPECT_EQ(events.front().seq, 6u);
+  EXPECT_EQ(events.back().time_micros, clock_.NowMicros());
 
   const obs::RegistrySnapshot snap = registry.Snapshot();
   const obs::MetricSnapshot* dropped =
-      snap.Find("tarpit_audit_dropped_total");
+      snap.Find("tarpit_events_dropped_total");
   ASSERT_NE(dropped, nullptr);
   EXPECT_EQ(dropped->value, 6);
-
-  // Oldest retained record is the 7th recorded.
-  IdentityId first = 0;
-  log.ForEach([&](const AuditRecord& r) {
-    if (first == 0) first = r.identity;
-    return true;
-  });
-  EXPECT_EQ(first, 7u);
-
-  // The ring's window is independent: everything the log evicted
-  // survives there in binary form, stamped on the virtual timeline.
-  EXPECT_EQ(
-      ring.CountOfType(obs::DefenseEventType::kRateLimitedUser), 10u);
-  const std::vector<obs::DefenseEvent> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 10u);
-  EXPECT_EQ(events.front().principal, 1u);
-  EXPECT_EQ(events.front().time_micros, 1'000'000);
-  EXPECT_EQ(events.back().principal, 10u);
+  const obs::MetricSnapshot* appended =
+      snap.Find("tarpit_events_appended_total");
+  ASSERT_NE(appended, nullptr);
+  EXPECT_EQ(appended->value, static_cast<int64_t>(kDenied + 2));
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/concurrent_db.h"
-#include "defense/audit_log.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -336,39 +335,6 @@ TEST(BoundedQuantileSketchTest, MergePreservesCountAndSum) {
   EXPECT_DOUBLE_EQ(a.Sum(), 1000.0 + 15000.0);
   // 3/4 of the mass is 5.0, so the median must be 5.0-ish.
   EXPECT_NEAR(a.Median(), 5.0, 1e-9);
-}
-
-// ---------- AuditLog clock stamping (satellite) ----------
-
-TEST(AuditLogClockTest, StampsFromInjectedClock) {
-  VirtualClock clock(5'000'000);  // t = 5s.
-  AuditLog log(&clock);
-  AuditRecord r;
-  r.event = AuditEvent::kQueryServed;
-  r.time_seconds = 123.0;  // Emitter's value is overridden.
-  log.Record(r);
-  clock.SleepForSeconds(2.5);
-  log.Record(r);
-
-  std::vector<double> stamps;
-  log.ForEach([&](const AuditRecord& rec) {
-    stamps.push_back(rec.time_seconds);
-    return true;
-  });
-  ASSERT_EQ(stamps.size(), 2u);
-  EXPECT_DOUBLE_EQ(stamps[0], 5.0);
-  EXPECT_DOUBLE_EQ(stamps[1], 7.5);
-}
-
-TEST(AuditLogClockTest, NoClockKeepsEmitterValue) {
-  AuditLog log;
-  AuditRecord r;
-  r.time_seconds = 123.0;
-  log.Record(r);
-  log.ForEach([&](const AuditRecord& rec) {
-    EXPECT_DOUBLE_EQ(rec.time_seconds, 123.0);
-    return true;
-  });
 }
 
 // ---------- End-to-end: instrumented database ----------

@@ -403,8 +403,9 @@ TEST_F(ReputationGateTest, PenalizedIdentityPaysMultipliedDelay) {
   // the query reads the same snapshot the query was priced from.
   const double base = pdb_->PeekDelay(1);
   EXPECT_NEAR(taxed->delay_seconds, base * factor, 1e-9);
-  EXPECT_EQ(
-      gate_->audit_log()->CountOf(AuditEvent::kReputationEscalated), 1u);
+  EXPECT_EQ(gate_->events()->CountOfType(
+                obs::DefenseEventType::kReputationEscalated),
+            1u);
 }
 
 TEST_F(ReputationGateTest, RateDenialsFeedReputation) {
@@ -446,8 +447,9 @@ TEST_F(ReputationGateTest, GateWithoutReputationIsUnchanged) {
   auto r = gate_->ExecuteSql(*alice,
                              "SELECT * FROM items WHERE id = 1");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(
-      gate_->audit_log()->CountOf(AuditEvent::kReputationEscalated), 0u);
+  EXPECT_EQ(gate_->events()->CountOfType(
+                obs::DefenseEventType::kReputationEscalated),
+            0u);
 }
 
 TEST(ReputationConcurrentDoorTest, EscalatesComputePhaseDelay) {
