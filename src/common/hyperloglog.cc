@@ -1,6 +1,6 @@
 #include "common/hyperloglog.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 
 namespace tarpit {
@@ -27,13 +27,12 @@ double AlphaFor(uint32_t m) {
 
 }  // namespace
 
-HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
-  assert(precision >= 4 && precision <= 16);
-  num_registers_ = 1u << precision_;
-  alpha_mm_ = AlphaFor(num_registers_) *
-              static_cast<double>(num_registers_) *
-              static_cast<double>(num_registers_);
-  registers_.assign(num_registers_, 0);
+HyperLogLog::HyperLogLog(int precision)
+    : precision_(std::clamp(precision, 4, 16)) {
+  const uint32_t m = 1u << precision_;
+  alpha_mm_ = AlphaFor(m) * static_cast<double>(m) *
+              static_cast<double>(m);
+  Clear();
 }
 
 void HyperLogLog::Add(int64_t key) {
@@ -46,39 +45,43 @@ void HyperLogLog::Add(int64_t key) {
   const uint8_t rank =
       rest == 0 ? static_cast<uint8_t>(64 - precision_ + 1)
                 : static_cast<uint8_t>(__builtin_clzll(rest) + 1);
-  if (rank > registers_[idx]) registers_[idx] = rank;
+  const uint8_t old = registers_[idx];
+  if (rank <= old) return;
+  registers_[idx] = rank;
+  harmonic_sum_ = harmonic_sum_ - Term(old) + Term(rank);
+  if (old == 0) --zero_registers_;
 }
 
 double HyperLogLog::Estimate() const {
-  double sum = 0.0;
-  uint32_t zeros = 0;
-  for (uint8_t r : registers_) {
-    sum += std::ldexp(1.0, -r);
-    if (r == 0) ++zeros;
-  }
+  const double m = static_cast<double>(registers_.size());
+  const double sum =
+      std::ldexp(static_cast<double>(harmonic_sum_), -(65 - precision_));
   double estimate = alpha_mm_ / sum;
   // Small-range correction: linear counting.
-  if (estimate <= 2.5 * num_registers_ && zeros != 0) {
-    estimate = static_cast<double>(num_registers_) *
-               std::log(static_cast<double>(num_registers_) /
-                        static_cast<double>(zeros));
+  if (estimate <= 2.5 * m && zero_registers_ != 0) {
+    estimate = m * std::log(m / static_cast<double>(zero_registers_));
   }
   return estimate;
 }
 
 bool HyperLogLog::Merge(const HyperLogLog& other) {
   if (other.precision_ != precision_) return false;
-  for (uint32_t i = 0; i < num_registers_; ++i) {
-    if (other.registers_[i] > registers_[i]) {
-      registers_[i] = other.registers_[i];
-    }
+  harmonic_sum_ = 0;
+  zero_registers_ = 0;
+  for (size_t i = 0; i < registers_.size(); ++i) {
+    registers_[i] = std::max(registers_[i], other.registers_[i]);
+    harmonic_sum_ += Term(registers_[i]);
+    if (registers_[i] == 0) ++zero_registers_;
   }
   items_added_ += other.items_added_;
   return true;
 }
 
 void HyperLogLog::Clear() {
-  registers_.assign(num_registers_, 0);
+  const uint32_t m = 1u << precision_;
+  registers_.assign(m, 0);
+  harmonic_sum_ = static_cast<unsigned __int128>(m) * Term(0);
+  zero_registers_ = m;
   items_added_ = 0;
 }
 

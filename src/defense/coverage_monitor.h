@@ -18,7 +18,8 @@ struct CoverageMonitorOptions {
   double max_coverage = 0.25;
   /// Multiplier applied to delays at max_coverage and beyond.
   double max_escalation = 100.0;
-  /// HyperLogLog precision for per-principal distinct counting.
+  /// HyperLogLog precision for per-principal distinct counting
+  /// (clamped to [4, 16]).
   int hll_precision = 12;
 };
 

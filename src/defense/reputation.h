@@ -48,7 +48,8 @@ struct ReputationOptions {
   /// multiplicative bump every stride * N new distinct tuples, so its
   /// penalty grows geometrically with breadth.
   double breadth_signal_stride = 0.01;
-  /// HyperLogLog precision for per-principal distinct counting.
+  /// HyperLogLog precision for per-principal distinct counting
+  /// (clamped to [4, 16]).
   int hll_precision = 12;
 
   // -- Self-observed rate anomaly. -----------------------------------

@@ -30,7 +30,8 @@ struct RiskScorerOptions {
   /// Half-life of the defense-signal score (denials, escalations).
   double signal_half_life_seconds = 600;
   /// Precision of the per-principal distinct-key sketch (2^p bytes
-  /// each; 10 -> 1 KiB per principal, ~3% standard error).
+  /// each; 10 -> 1 KiB per principal, ~3% standard error). Clamped
+  /// to [4, 16].
   int hll_precision = 10;
   /// Principals at or above this score count as flagged in
   /// tarpit_risk_flagged_principals.
@@ -46,10 +47,12 @@ struct RiskScorerOptions {
   /// distinct-count over a hash partition is an unbiased breadth
   /// estimator for ANY access distribution (every principal is
   /// measured against the same partition), and the activity increment
-  /// is weighted by N so rates stay unbiased too. The unsampled path
-  /// is one hash + compare -- no lock -- which is what lets the
-  /// concurrent door feed every served tuple from its read hot path
-  /// within the telemetry overhead budget. Sampling applies only to
+  /// is weighted by N so rates stay unbiased too. A recorded key costs
+  /// the principal's stripe lock and an O(1) sketch update (estimates
+  /// are O(1) as well), so even the exact path is cheap; a key outside
+  /// the partition is one hash + compare and takes no lock. Sampling
+  /// therefore only saves that stripe lock and the entries of
+  /// principals no admitted key has touched. It applies only to
   /// ObserveQuery; range-probe and defense-signal feeds are rare and
   /// always exact.
   size_t query_sample_every = 1;

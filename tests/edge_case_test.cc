@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,20 @@ TEST(HllEdgeTest, MinAndMaxPrecision) {
   // Precision 4 (16 registers): ~26% error allowed; precision 16: ~1%.
   EXPECT_NEAR(small.Estimate(), 2000, 2000 * 0.6);
   EXPECT_NEAR(large.Estimate(), 2000, 2000 * 0.03);
+}
+
+TEST(HllEdgeTest, OutOfRangePrecisionIsClamped) {
+  // Options pass hll_precision through unchecked; 0 would shift the
+  // 64-bit hash by 64.
+  for (const auto& [asked, got] : {std::pair{0, 4}, std::pair{2, 4},
+                                   std::pair{20, 16}}) {
+    HyperLogLog hll(asked);
+    EXPECT_EQ(hll.precision(), got) << asked;
+    EXPECT_EQ(hll.registers().size(), size_t{1} << got) << asked;
+    for (int64_t k = 0; k < 1000; ++k) hll.Add(k);
+    EXPECT_TRUE(std::isfinite(hll.Estimate())) << asked;
+    EXPECT_GT(hll.Estimate(), 0.0) << asked;
+  }
 }
 
 // ---------- Ipv4 formatting corners ----------

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +82,105 @@ TEST(HyperLogLogTest, ClearResets) {
   hll.Clear();
   EXPECT_EQ(hll.items_added(), 0u);
   EXPECT_LT(hll.Estimate(), 1.0);
+}
+
+// The estimate as a from-scratch scan of the registers: one double
+// 2^-reg[i] per register summed in order, then the same bias constant
+// and small-range correction as the sketch. The powers of two are
+// tabulated (the same doubles std::ldexp returns) only to keep the
+// scan-after-every-Add checks below fast.
+double FullScanEstimate(const HyperLogLog& hll) {
+  static const std::vector<double> kInversePow2 = [] {
+    std::vector<double> t(256);
+    for (int r = 0; r < 256; ++r) t[r] = std::ldexp(1.0, -r);
+    return t;
+  }();
+  const std::vector<uint8_t>& regs = hll.registers();
+  const uint32_t m = static_cast<uint32_t>(regs.size());
+  double sum = 0.0;
+  uint32_t zeros = 0;
+  for (uint8_t r : regs) {
+    sum += kInversePow2[r];
+    if (r == 0) ++zeros;
+  }
+  double alpha = 0.7213 / (1.0 + 1.079 / static_cast<double>(m));
+  if (m == 16) alpha = 0.673;
+  if (m == 32) alpha = 0.697;
+  if (m == 64) alpha = 0.709;
+  double estimate =
+      alpha * static_cast<double>(m) * static_cast<double>(m) / sum;
+  if (estimate <= 2.5 * m && zeros != 0) {
+    estimate = static_cast<double>(m) *
+               std::log(static_cast<double>(m) /
+                        static_cast<double>(zeros));
+  }
+  return estimate;
+}
+
+TEST(HyperLogLogTest, IncrementalEstimateMatchesFullScan) {
+  for (int p = 4; p <= 16; ++p) {
+    SCOPED_TRACE("precision " + std::to_string(p));
+    Rng rng(static_cast<uint64_t>(p));
+    HyperLogLog random(p), dupes(p);
+    ASSERT_EQ(random.Estimate(), FullScanEstimate(random));
+    // The first 10k keys are checked after every Add (a scan only when
+    // some register rose: otherwise the sketch state is unchanged);
+    // past that, every 1,000th Add, far enough to leave the
+    // small-range regime at every precision.
+    std::vector<uint8_t> random_seen = random.registers();
+    std::vector<uint8_t> dupes_seen = dupes.registers();
+    double random_scan = FullScanEstimate(random);
+    double dupes_scan = FullScanEstimate(dupes);
+    for (int i = 0; i < 300'000; ++i) {
+      random.Add(static_cast<int64_t>(rng.Next()));
+      // Duplicate-heavy: a 2,000-key hot set plus a trickle of new keys.
+      dupes.Add(rng.Bernoulli(0.95)
+                    ? static_cast<int64_t>(rng.Uniform(2000))
+                    : static_cast<int64_t>(rng.Next()));
+      if (i < 10'000) {
+        if (random.registers() != random_seen) {
+          random_seen = random.registers();
+          random_scan = FullScanEstimate(random);
+        }
+        if (dupes.registers() != dupes_seen) {
+          dupes_seen = dupes.registers();
+          dupes_scan = FullScanEstimate(dupes);
+        }
+        ASSERT_EQ(random.Estimate(), random_scan) << "add " << i;
+        ASSERT_EQ(dupes.Estimate(), dupes_scan) << "add " << i;
+      } else if (i % 1000 == 0) {
+        ASSERT_EQ(random.Estimate(), FullScanEstimate(random)) << i;
+        ASSERT_EQ(dupes.Estimate(), FullScanEstimate(dupes)) << i;
+      }
+    }
+    ASSERT_GT(random.Estimate(), 2.5 * (1 << p));
+
+    // Merge into an empty sketch copies the source exactly.
+    HyperLogLog empty(p);
+    ASSERT_TRUE(empty.Merge(dupes));
+    EXPECT_EQ(empty.registers(), dupes.registers());
+    EXPECT_EQ(empty.Estimate(), FullScanEstimate(empty));
+    EXPECT_EQ(empty.Estimate(), dupes.Estimate());
+    // Merge of two populated sketches.
+    ASSERT_TRUE(dupes.Merge(random));
+    EXPECT_EQ(dupes.Estimate(), FullScanEstimate(dupes));
+    // A precision mismatch changes nothing.
+    const std::vector<uint8_t> before = dupes.registers();
+    const double before_estimate = dupes.Estimate();
+    HyperLogLog other(p == 4 ? 5 : p - 1);
+    other.Add(1);
+    EXPECT_FALSE(dupes.Merge(other));
+    EXPECT_EQ(dupes.registers(), before);
+    EXPECT_EQ(dupes.Estimate(), before_estimate);
+    // Clear, then keep adding: the running state restarts from zero.
+    random.Clear();
+    EXPECT_EQ(random.Estimate(), FullScanEstimate(random));
+    EXPECT_EQ(random.Estimate(), 0.0);
+    for (int64_t k = 0; k < 500; ++k) {
+      random.Add(k);
+      ASSERT_EQ(random.Estimate(), FullScanEstimate(random)) << k;
+    }
+  }
 }
 
 // ---------- CoverageMonitor ----------

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +176,56 @@ TEST(ReputationStoreTest, RepeatAccessesToSameKeysStayFree) {
     }
   }
   EXPECT_DOUBLE_EQ(store.IdentityPenalty(kAlice, 0.0), 1.0);
+}
+
+// Pins the breadth behaviour the store shows for one fixed extraction
+// walk: the access at which every breadth signal fires and the final
+// penalties, exactly. An estimate that moves across a stride boundary
+// moves a signal, and with it the decayed penalties.
+TEST(ReputationStoreTest, BreadthWalkMatchesGolden) {
+  // Defaults, with the caps out of the way so the final penalties
+  // reflect every signal and its timing.
+  ReputationOptions opts;
+  opts.max_penalty = 1e300;
+  opts.max_subnet_penalty = 1e300;
+  ReputationStore store(opts);
+  VirtualClock clock;
+  const uint64_t n = 12'179;
+  std::vector<std::pair<uint64_t, uint64_t>> fired;  // (access, signals)
+  uint64_t seen = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    clock.SleepForMicros(1000);
+    // 7919 is coprime with 12,179 = 19 * 641: every key exactly once.
+    const int64_t key = static_cast<int64_t>((i * 7919) % n);
+    store.ObserveAccess(kAlice, kSubnetA, key, n,
+                        static_cast<double>(clock.NowMicros()) / 1e6);
+    if (store.signals_total() != seen) {
+      fired.emplace_back(i, store.signals_total() - seen);
+      seen = store.signals_total();
+    }
+  }
+  // Identity and subnet see the same keys, so each stride of coverage
+  // fires one signal in each scope; at access 10054 the estimate
+  // crosses two strides at once.
+  const uint64_t kFiredAt[] = {
+      246,   365,   484,   612,   739,   865,   989,   1111,  1237,
+      1354,  1469,  1589,  1707,  1829,  1948,  2075,  2195,  2315,
+      2436,  2556,  2688,  2802,  2928,  3036,  3160,  3278,  3406,
+      3531,  3657,  3785,  3906,  4035,  4158,  4270,  4378,  4488,
+      4598,  4738,  4877,  4983,  5122,  5220,  5325,  5472,  5580,
+      5712,  5816,  5927,  6043,  6181,  6342,  6447,  6558,  6681,
+      6810,  6936,  7060,  7203,  7310,  7464,  7601,  7704,  7853,
+      7998,  8133,  8281,  8372,  8472,  8565,  8646,  8786,  8897,
+      9001,  9115,  9205,  9353,  9483,  9601,  9715,  9824,  9948,
+      10054, 10172, 10285, 10440, 10580, 10712, 10842, 10930, 11015,
+      11122, 11287, 11400, 11535, 11649, 11786, 11922, 12037, 12162};
+  std::vector<std::pair<uint64_t, uint64_t>> expected;
+  for (uint64_t at : kFiredAt) expected.emplace_back(at, at == 10054 ? 4 : 2);
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(store.signals_total(), 200u);
+  const double now = static_cast<double>(clock.NowMicros()) / 1e6;
+  EXPECT_EQ(store.IdentityPenalty(kAlice, now), 0x1.756222cdaf89bp+99);
+  EXPECT_EQ(store.SubnetPenalty(kSubnetA, now), 0x1.2c34aab5538d1p+58);
 }
 
 TEST(ReputationStoreTest, RateAnomalySelfSignalFiresOncePerWindow) {
