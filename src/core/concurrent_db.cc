@@ -271,13 +271,11 @@ void ConcurrentProtectedDatabase::ReputationObserve(
       inner_->clock()->NowSeconds());
 }
 
-double ConcurrentProtectedDatabase::ApplyReputation(ProtectedResult* r,
-                                                    double factor) {
-  if (factor <= 1.0 || r->delay_seconds <= 0.0) return 0.0;
-  const double extra = (factor - 1.0) * r->delay_seconds;
-  r->delay_seconds += extra;
-  if (m_rep_escalated_ != nullptr) m_rep_escalated_->Increment();
-  return extra;
+void ConcurrentProtectedDatabase::CountEscalation(const ProtectedResult& r,
+                                                  double factor) {
+  if (factor > 1.0 && r.delay_seconds > 0.0 && m_rep_escalated_ != nullptr) {
+    m_rep_escalated_->Increment();
+  }
 }
 
 obs::RequestTrace* ConcurrentProtectedDatabase::BeginTrace(
@@ -894,13 +892,13 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlGlobal(
   // Pre-access factor (same no-retroactive-penalty rule as the gate).
   const double factor = ReputationFactor(who);
   std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->ExecuteSql(sql);
+  Result<ProtectedResult> r = inner_->ExecuteSql(sql, factor);
   if (r.ok() && who != nullptr) {
     const uint64_t n = inner_->access_tracker()->universe_size();
     for (int64_t key : r->result.touched_keys) {
       ReputationObserve(who, key, n);
     }
-    global_rep_extra_delay_ += ApplyReputation(&*r, factor);
+    CountEscalation(*r, factor);
   }
   // The global path computes everything under one lock; the whole
   // computation is the admission phase.
@@ -914,11 +912,11 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeyGlobal(
   PhaseMarker pm(tr, inner_->clock());
   const double factor = ReputationFactor(who);
   std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->GetByKey(key);
+  Result<ProtectedResult> r = inner_->GetByKey(key, factor);
   if (r.ok() && who != nullptr) {
     ReputationObserve(who, key,
                       inner_->access_tracker()->universe_size());
-    global_rep_extra_delay_ += ApplyReputation(&*r, factor);
+    CountEscalation(*r, factor);
   }
   pm.Mark(obs::TracePhase::kAdmit);
   return r;
@@ -1035,15 +1033,17 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
       std::shared_lock<std::shared_mutex> us(update_stats_mu_,
                                              std::defer_lock);
       if (reads_need_update_stats_) us.lock();
-      out.delay_seconds = inner_->DelayForAccessStats(stats, key);
+      // The same product DelayEngine::Charge forms (base x factor),
+      // from the snapshot instead of the single-threaded inner policy.
+      out.delay_seconds = inner_->DelayForAccessStats(stats, key) * factor;
     }
 
-    // 2b. Reputation: escalate before the stripe accounting records
-    //     the charge, so accounting matches what the caller is
-    //     charged (and what FinishAsync parks). The access then feeds
-    //     breadth learning for future factors.
+    // 2b. Reputation: the charge above is already escalated, so the
+    //     stripe accounting records what the caller is charged (and
+    //     what FinishAsync parks). The access then feeds breadth
+    //     learning for future factors.
     if (who != nullptr) {
-      ApplyReputation(&out, factor);
+      CountEscalation(out, factor);
       ReputationObserve(who, key, stats_tracker_->universe_size());
     }
 
@@ -1166,28 +1166,21 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     stats_tracker_->WithExclusive([&](CountTracker*) {
       std::unique_lock<std::shared_mutex> us(update_stats_mu_);
       std::shared_lock<std::shared_mutex> lock(storage_mu_);
-      result = prep != nullptr ? inner_->ExecutePrepared(*prep)
-                               : inner_->ExecuteStatement(*stmt);
+      result = prep != nullptr
+                   ? inner_->ExecutePrepared(*prep, factor)
+                   : inner_->ExecuteStatement(*stmt, nullptr, factor);
     });
   }
   if (result.ok() && who != nullptr) {
-    // The inner engine accounted the BASE delay; the reputation
-    // surcharge is accounted in an acct stripe so Metrics() still
-    // equals the sum of caller-charged delays.
     const uint64_t n = stats_tracker_->universe_size();
     for (int64_t key : result->result.touched_keys) {
       ReputationObserve(who, key, n);
     }
-    const double extra = ApplyReputation(&*result, factor);
-    if (extra > 0.0 && !acct_stripes_.empty()) {
-      AcctStripe& acct = *acct_stripes_[0];
-      std::lock_guard<std::mutex> lock(acct.mu);
-      acct.total_delay += extra;
-    }
+    CountEscalation(*result, factor);
   }
   // The SQL path parses and executes as one unit; that whole
-  // computation is the admission phase (delays were computed inside
-  // the inner engine).
+  // computation is the admission phase (the escalated delays were
+  // charged inside the inner engine).
   pm.Mark(obs::TracePhase::kAdmit);
   return result;
 }
@@ -1312,12 +1305,7 @@ Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
 Status ConcurrentProtectedDatabase::Checkpoint() {
   if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
     std::lock_guard<std::mutex> lock(mutex_);
-    TARPIT_RETURN_IF_ERROR(inner_->Checkpoint());
-    // Reputation surcharges bypass the inner engine's accounting;
-    // re-snapshot the ledger with them folded in (snapshots are
-    // absolute, so the later, fuller record wins on recovery).
-    return inner_->SnapshotDelayLedger(global_rep_extra_delay_, 0,
-                                       /*sync=*/true);
+    return inner_->Checkpoint();
   }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
   {
@@ -1337,11 +1325,10 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
       return deferred_count_cache_status_;
     }
   }
-  TARPIT_RETURN_IF_ERROR(inner_->Checkpoint());
-  // The sharded path charges delays through the accounting stripes,
-  // bypassing the inner DelayEngine; fold them into a final synced
-  // ledger snapshot so the recovered debt matches what callers were
-  // actually charged.
+  // The sharded path charges point gets through the accounting
+  // stripes, bypassing the inner DelayEngine; report their totals so
+  // the checkpoint's synced snapshot (and every later cadence one)
+  // carries what callers were actually charged.
   double sharded_delay = 0.0;
   uint64_t sharded_charges = 0;
   for (auto& acct : acct_stripes_) {
@@ -1349,17 +1336,14 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
     sharded_delay += acct->total_delay;
     sharded_charges += acct->charges;
   }
-  return inner_->SnapshotDelayLedger(sharded_delay, sharded_charges,
-                                     /*sync=*/true);
+  inner_->ReportExternalCharges(sharded_delay, sharded_charges);
+  return inner_->Checkpoint();
 }
 
 ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
   if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
     std::lock_guard<std::mutex> lock(mutex_);
-    ProtectedDatabaseMetrics m = inner_->Metrics();
-    // Reputation surcharges bypass the inner engine's accounting.
-    m.total_delay_seconds += global_rep_extra_delay_;
-    return m;
+    return inner_->Metrics();
   }
   std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
   ProtectedDatabaseMetrics m;

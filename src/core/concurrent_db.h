@@ -377,11 +377,10 @@ class ConcurrentProtectedDatabase {
   /// thread-safe tracker.
   void ReputationObserve(const RequestPrincipal* who, int64_t key,
                          uint64_t universe_n);
-  /// Escalates `r`'s charged delay by `factor` (counting the metric).
-  /// Returns the surcharge; the CALLER must account it (acct stripe or
-  /// global surcharge total) so Metrics() keeps matching what callers
-  /// were charged.
-  double ApplyReputation(ProtectedResult* r, double factor);
+  /// Counts an escalated charge in the reputation metric. The factor
+  /// itself went into the charge (the inner DelayEngine's, or the
+  /// sharded point get's product), so there is nothing to account.
+  void CountEscalation(const ProtectedResult& r, double factor);
   void InvalidateRowCaches();
   /// Drops the cached row for `key` (commit precision invalidation;
   /// whole-cache invalidation stays on the DDL path).
@@ -441,11 +440,8 @@ class ConcurrentProtectedDatabase {
   std::unique_ptr<ProtectedDatabase> inner_;
   ConcurrentDatabaseOptions concurrent_options_;
 
-  // kGlobalLock state. The reputation surcharge accumulator keeps
-  // global-mode Metrics() equal to the sum of caller-charged delays
-  // (the inner engine only accounts the base delay).
+  // kGlobalLock state.
   std::mutex mutex_;
-  double global_rep_extra_delay_ = 0.0;
 
   // kSharded state. storage_mu_ is reader-writer: read-only storage
   // access (GetByKey misses, SELECT scans) holds it shared -- the

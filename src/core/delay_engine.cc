@@ -1,33 +1,15 @@
 #include "core/delay_engine.h"
 
+#include <algorithm>
+
 namespace tarpit {
 
-double DelayEngine::Charge(int64_t key) {
-  const double d = ChargeDeferred(key);
-  // Round up: a truncating cast here dropped sub-microsecond delays
-  // entirely (charged on the books, never on the wall clock).
-  clock_->SleepForSeconds(d);
-  return d;
-}
-
-double DelayEngine::ChargeDeferred(int64_t key) {
-  const double d = policy_->DelayFor(key);
+double DelayEngine::Charge(int64_t key, double factor) {
+  const double d = policy_->DelayFor(key) * std::max(1.0, factor);
   total_delay_ += d;
   ++charges_;
   sketch_.Add(d);
   return d;
-}
-
-double DelayEngine::ChargeAll(const std::vector<int64_t>& keys) {
-  double total = 0.0;
-  for (int64_t key : keys) total += Charge(key);
-  return total;
-}
-
-void DelayEngine::ResetAccounting() {
-  total_delay_ = 0.0;
-  charges_ = 0;
-  sketch_.Clear();
 }
 
 }  // namespace tarpit

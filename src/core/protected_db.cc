@@ -133,7 +133,7 @@ Status ProtectedDatabase::Init(const std::string& dir,
       break;
     }
   }
-  engine_ = std::make_unique<DelayEngine>(clock_, policy_.get());
+  engine_ = std::make_unique<DelayEngine>(policy_.get());
 
   if (options_.persist_delay_ledger) {
     TARPIT_RETURN_IF_ERROR(
@@ -146,19 +146,19 @@ Status ProtectedDatabase::Init(const std::string& dir,
   return Status::OK();
 }
 
-Result<ProtectedResult> ProtectedDatabase::ExecuteSql(
-    const std::string& sql) {
+Result<ProtectedResult> ProtectedDatabase::ExecuteSql(const std::string& sql,
+                                                      double factor) {
   if (plan_cache_ != nullptr) {
     TARPIT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> prep,
                             plan_cache_->Get(sql));
-    return ExecutePrepared(*prep);
+    return ExecutePrepared(*prep, factor);
   }
   TARPIT_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(sql));
-  return ExecuteStatement(stmt, nullptr);
+  return ExecuteStatement(stmt, nullptr, factor);
 }
 
 Result<ProtectedResult> ProtectedDatabase::ExecutePrepared(
-    const PreparedStatement& prepared) {
+    const PreparedStatement& prepared, double factor) {
   // The plan is only trustworthy while the schema it was compiled
   // against is still live; fail closed to a fresh planning pass.
   const AccessPlan* hint =
@@ -166,7 +166,7 @@ Result<ProtectedResult> ProtectedDatabase::ExecutePrepared(
               prepared.schema_version == db_->schema_version()
           ? &prepared.select_plan
           : nullptr;
-  Result<ProtectedResult> out = ExecuteStatement(prepared.stmt, hint);
+  Result<ProtectedResult> out = ExecuteStatement(prepared.stmt, hint, factor);
   if (out.ok() && plan_cache_ != nullptr &&
       (prepared.stmt.kind == Statement::Kind::kCreateTable ||
        prepared.stmt.kind == Statement::Kind::kCreateIndex)) {
@@ -178,7 +178,8 @@ Result<ProtectedResult> ProtectedDatabase::ExecutePrepared(
 }
 
 Result<ProtectedResult> ProtectedDatabase::ExecuteStatement(
-    const Statement& stmt, const AccessPlan* select_plan_hint) {
+    const Statement& stmt, const AccessPlan* select_plan_hint,
+    double factor) {
   TARPIT_ASSIGN_OR_RETURN(QueryResult qr,
                           executor_->Execute(stmt, select_plan_hint));
 
@@ -228,14 +229,7 @@ Result<ProtectedResult> ProtectedDatabase::ExecuteStatement(
             std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
         update_policy_->set_rate_window_seconds(elapsed);
       }
-      if (options_.defer_delay_sleep) {
-        for (int64_t key : qr.touched_keys) {
-          out.delay_seconds += engine_->ChargeDeferred(key);
-        }
-      } else {
-        out.delay_seconds = engine_->ChargeAll(qr.touched_keys);
-      }
-      MaybeSnapshotLedger();
+      out.delay_seconds = ChargeAndServe(qr.touched_keys, factor);
       break;
     }
     case Statement::Kind::kInsert: {
@@ -324,7 +318,8 @@ double ProtectedDatabase::DelayForAccessStats(const PopularityStats& stats,
   return 0.0;
 }
 
-Result<ProtectedResult> ProtectedDatabase::GetByKey(int64_t key) {
+Result<ProtectedResult> ProtectedDatabase::GetByKey(int64_t key,
+                                                    double factor) {
   if (table_ == nullptr) {
     return Status::FailedPrecondition("protected table not created yet");
   }
@@ -339,12 +334,9 @@ Result<ProtectedResult> ProtectedDatabase::GetByKey(int64_t key) {
     update_policy_->set_rate_window_seconds(elapsed);
   }
   ProtectedResult out;
-  out.delay_seconds = options_.defer_delay_sleep
-                          ? engine_->ChargeDeferred(key)
-                          : engine_->Charge(key);
-  MaybeSnapshotLedger();
-  out.result.rows.push_back(std::move(row));
   out.result.touched_keys.push_back(key);
+  out.delay_seconds = ChargeAndServe(out.result.touched_keys, factor);
+  out.result.rows.push_back(std::move(row));
   for (size_t i = 0; i < table_->schema().num_columns(); ++i) {
     out.result.columns.push_back(table_->schema().column(i).name);
   }
@@ -407,36 +399,36 @@ Status ProtectedDatabase::Checkpoint() {
   if (count_cache_ != nullptr) {
     TARPIT_RETURN_IF_ERROR(count_cache_->FlushAll());
   }
-  TARPIT_RETURN_IF_ERROR(
-      SnapshotDelayLedger(0, 0, /*sync=*/true));
+  TARPIT_RETURN_IF_ERROR(SnapshotDelayLedger(/*sync=*/true));
   return db_->CheckpointAll();
 }
 
-Status ProtectedDatabase::SnapshotDelayLedger(double extra_delay_seconds,
-                                              uint64_t extra_charges,
-                                              bool sync) {
-  if (!delay_ledger_.is_open()) return Status::OK();
-  const double total = ledger_base_delay_ + engine_->total_delay_seconds() +
-                       extra_delay_seconds;
-  const uint64_t charges =
-      ledger_base_charges_ + engine_->charges() + extra_charges;
-  TARPIT_RETURN_IF_ERROR(delay_ledger_.Append(total, charges, sync));
-  ledger_last_snapshot_charges_ = engine_->charges() + extra_charges;
-  return Status::OK();
+double ProtectedDatabase::ChargeAndServe(const std::vector<int64_t>& keys,
+                                         double factor) {
+  double total = 0.0;
+  for (int64_t key : keys) total += engine_->Charge(key, factor);
+  if (delay_ledger_.is_open() && options_.delay_ledger_snapshot_every > 0 &&
+      engine_->charges() - ledger_last_snapshot_charges_ >=
+          options_.delay_ledger_snapshot_every) {
+    // Unsynced on the cadence: a crash loses at most the last window of
+    // accounting; Checkpoint hardens the horizon with fdatasync.
+    (void)SnapshotDelayLedger(/*sync=*/false);
+  }
+  // One stall per statement, rounded up once (Clock::DelayToMicros):
+  // never served short, and sub-microsecond charges still cost a tick.
+  if (!options_.defer_delay_sleep) clock_->SleepForSeconds(total);
+  return total;
 }
 
-void ProtectedDatabase::MaybeSnapshotLedger() {
-  if (!delay_ledger_.is_open() ||
-      options_.delay_ledger_snapshot_every == 0) {
-    return;
-  }
-  if (engine_->charges() - ledger_last_snapshot_charges_ <
-      options_.delay_ledger_snapshot_every) {
-    return;
-  }
-  // Unsynced on the cadence: a crash loses at most the last window of
-  // accounting; Checkpoint hardens the horizon with fdatasync.
-  (void)SnapshotDelayLedger(0, 0, /*sync=*/false);
+Status ProtectedDatabase::SnapshotDelayLedger(bool sync) {
+  if (!delay_ledger_.is_open()) return Status::OK();
+  const double total = ledger_base_delay_ + engine_->total_delay_seconds() +
+                       external_delay_;
+  const uint64_t charges =
+      ledger_base_charges_ + engine_->charges() + external_charges_;
+  TARPIT_RETURN_IF_ERROR(delay_ledger_.Append(total, charges, sync));
+  ledger_last_snapshot_charges_ = engine_->charges();
+  return Status::OK();
 }
 
 }  // namespace tarpit

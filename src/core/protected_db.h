@@ -49,9 +49,11 @@ struct ProtectedDatabaseOptions {
   /// Table 5 overhead experiment).
   bool persist_counts = false;
   size_t count_cache_capacity = 1024;
-  /// When true, ExecuteSql/GetByKey account delays but do NOT sleep;
-  /// the caller serves the stall (ConcurrentProtectedDatabase uses
-  /// this to sleep outside its lock).
+  /// Who serves a statement's charge. False: the database sleeps the
+  /// statement's whole charge once, before returning. True: it only
+  /// accounts the charge and its caller serves `delay_seconds`
+  /// (ConcurrentProtectedDatabase stalls outside its locks; discrete-
+  /// event simulations and QueryGate::ExecuteSqlAsync park it).
   bool defer_delay_sleep = false;
   /// Persist cumulative charged-delay totals to
   /// `<dir>/<table>.delay_ledger` so the delay debt survives a crash —
@@ -103,6 +105,11 @@ struct ProtectedResult {
 /// delayed; writes record update events (feeding the update-rate
 /// scheme) and are not delayed. Multi-tuple results are charged the sum
 /// of their per-tuple delays, exactly the paper's aggregation model.
+///
+/// Every read entry point takes the principal's escalation `factor`
+/// (coverage x reputation; 1.0 for none): each tuple is charged
+/// base x factor once, through the one DelayEngine, and the statement's
+/// sum is accounted, ledgered and served once.
 class ProtectedDatabase {
  public:
   /// Opens the database in `dir` and protects `table_name` (which must
@@ -118,21 +125,24 @@ class ProtectedDatabase {
   /// Executes one SQL statement with delay protection. Consults the
   /// plan cache (when enabled) so repeated statement texts skip the
   /// lexer -> parser -> planner pipeline entirely.
-  Result<ProtectedResult> ExecuteSql(const std::string& sql);
+  Result<ProtectedResult> ExecuteSql(const std::string& sql,
+                                     double factor = 1.0);
 
   /// Executes an already-compiled statement. The cached access plan is
   /// used only when its schema-version stamp still matches the live
   /// database (fails closed to a fresh planning pass otherwise). DDL
   /// statements invalidate the plan cache after executing.
-  Result<ProtectedResult> ExecutePrepared(const PreparedStatement& prepared);
+  Result<ProtectedResult> ExecutePrepared(const PreparedStatement& prepared,
+                                          double factor = 1.0);
 
   /// Executes a parsed statement with delay protection, optionally with
   /// a pre-validated SELECT access plan.
   Result<ProtectedResult> ExecuteStatement(
-      const Statement& stmt, const AccessPlan* select_plan_hint = nullptr);
+      const Statement& stmt, const AccessPlan* select_plan_hint = nullptr,
+      double factor = 1.0);
 
   /// Convenience single-tuple retrieval (the paper's canonical query).
-  Result<ProtectedResult> GetByKey(int64_t key);
+  Result<ProtectedResult> GetByKey(int64_t key, double factor = 1.0);
 
   /// Delay that retrieving `key` would cost right now.
   double PeekDelay(int64_t key) const { return engine_->Peek(key); }
@@ -170,11 +180,13 @@ class ProtectedDatabase {
   /// appends a synced delay-ledger snapshot when the ledger is enabled.
   Status Checkpoint();
 
-  /// Appends an absolute delay-ledger snapshot covering this engine's
-  /// totals plus `extra_*` charged outside it (the concurrent front
-  /// door's accounting stripes). No-op when the ledger is disabled.
-  Status SnapshotDelayLedger(double extra_delay_seconds,
-                             uint64_t extra_charges, bool sync);
+  /// Absolute totals charged outside this engine (the concurrent front
+  /// door's accounting stripes). Every later ledger snapshot -- the
+  /// next Checkpoint's and each cadence one -- carries them.
+  void ReportExternalCharges(double delay_seconds, uint64_t charges) {
+    external_delay_ = delay_seconds;
+    external_charges_ = charges;
+  }
 
   /// Charged-delay totals carried over from before the last restart
   /// (zero unless persist_delay_ledger recovered a snapshot). Metrics()
@@ -200,8 +212,14 @@ class ProtectedDatabase {
 
   Status Init(const std::string& dir, const std::string& table_name);
 
-  /// Appends an unsynced snapshot when the charge cadence is due.
-  void MaybeSnapshotLedger();
+  /// The statement exit: charges every key (base x factor), ledgers
+  /// the charges on the cadence, and -- unless defer_delay_sleep --
+  /// serves their sum as one stall. Returns the seconds charged.
+  double ChargeAndServe(const std::vector<int64_t>& keys, double factor);
+
+  /// Appends an absolute snapshot of the engine's totals plus the
+  /// reported external ones. No-op when the ledger is disabled.
+  Status SnapshotDelayLedger(bool sync);
 
   ProtectedDatabaseOptions options_;
   Clock* clock_;
@@ -222,7 +240,11 @@ class ProtectedDatabase {
   DelayLedger delay_ledger_;
   double ledger_base_delay_ = 0;
   uint64_t ledger_base_charges_ = 0;
+  // Engine charges at the last snapshot: the cadence counts engine
+  // charges only.
   uint64_t ledger_last_snapshot_charges_ = 0;
+  double external_delay_ = 0;
+  uint64_t external_charges_ = 0;
   int64_t open_time_micros_ = 0;
   std::string protected_table_name_;
 };

@@ -189,20 +189,16 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
         1.0, options_.reputation->PenaltyFactor(
                  identity.id, identity.Subnet24(), now));
   }
-  Result<ProtectedResult> result = db_->ExecuteSql(sql);
+  // Both factors go into the database's one charge: each tuple costs
+  // base x escalation x reputation, accounted, ledgered and served once.
+  Result<ProtectedResult> result =
+      db_->ExecuteSql(sql, escalation * rep_factor);
   if (!result.ok()) return result;
   if (options_.coverage_escalation) {
     for (int64_t key : result->result.touched_keys) {
       coverage_monitor_.RecordAccess(identity.id, key);
     }
     if (escalation > 1.0 && result->delay_seconds > 0) {
-      const double extra = (escalation - 1.0) * result->delay_seconds;
-      if (!db_->options().defer_delay_sleep) {
-        // Round up (see Clock::DelayToMicros): escalation surcharges
-        // below 1 µs must still cost wall time.
-        db_->clock()->SleepForSeconds(extra);
-      }
-      result->delay_seconds += extra;
       Emit(obs::DefenseEventType::kCoverageEscalated, identity, escalation);
       if (m_escalations_ != nullptr) m_escalations_->Increment();
     }
@@ -227,11 +223,6 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
           static_cast<int64_t>(std::llround(rep_factor * 1000.0)));
     }
     if (rep_factor > 1.0 && result->delay_seconds > 0) {
-      const double extra = (rep_factor - 1.0) * result->delay_seconds;
-      if (!db_->options().defer_delay_sleep) {
-        db_->clock()->SleepForSeconds(extra);
-      }
-      result->delay_seconds += extra;
       Emit(obs::DefenseEventType::kReputationEscalated, identity,
            rep_factor);
       if (m_rep_escalations_ != nullptr) m_rep_escalations_->Increment();
@@ -283,9 +274,9 @@ void QueryGate::ExecuteSqlAsync(const Identity& identity,
     done(std::move(result));
     return;
   }
-  // When the database is configured to defer stall serving
-  // (defer_delay_sleep), the whole charged delay is still owed; park
-  // it. Otherwise the inner engine already slept and we owe nothing.
+  // With defer_delay_sleep the caller serves the charge, so the whole
+  // escalated delay is parked here; otherwise the database already
+  // served it at the statement's exit and nothing is owed.
   const double park =
       db_->options().defer_delay_sleep ? result->delay_seconds : 0.0;
   ResourceGovernor* gov = options_.governor;
@@ -293,7 +284,7 @@ void QueryGate::ExecuteSqlAsync(const Identity& identity,
     Status admit = gov->AdmitStall(0);
     if (!admit.ok()) {
       // Shed before park. The delay -- including any coverage or
-      // reputation surcharge -- is already charged and the served
+      // reputation escalation -- is already charged and the served
       // tuples already fed breadth learning, so the suspect's penalty
       // sticks; only the wheel slot (and the tuple) is refused.
       Emit(obs::DefenseEventType::kOverloadShed, identity,

@@ -41,23 +41,23 @@ struct QueryGateOptions {
   /// have their delays multiplied.
   bool coverage_escalation = false;
   CoverageMonitorOptions coverage;
-  /// Reputation-escalating delay (ROADMAP open item 2). Not owned and
+  /// Reputation-escalating delay. Not owned and
   /// deliberately external: one store can back several gates and the
   /// concurrent front door at once, and -- because it is keyed by
   /// identity/subnet, not session -- its penalties survive
   /// SessionManager eviction and gate re-creation. The gate feeds it
   /// rate-limit denials and coverage escalations as signals, feeds
-  /// every served tuple as a breadth observation, and multiplies each
-  /// query's charged delay by the principal's penalty factor accrued
-  /// *before* the query (same no-retroactive-penalty rule as coverage
-  /// escalation). Null disables reputation entirely.
+  /// every served tuple as a breadth observation, and passes the
+  /// principal's penalty factor accrued *before* the query (same
+  /// no-retroactive-penalty rule as coverage escalation) into the
+  /// database's one charge. Null disables reputation entirely.
   ReputationStore* reputation = nullptr;
   /// Overload governor (shed-before-collapse), typically shared with
   /// the concurrent front door. Consulted only by ExecuteSqlAsync
   /// before the charged stall parks: when the parked-stall budgets are
   /// exhausted the request completes with Status::Overloaded instead
   /// of occupying the wheel. The delay (including any coverage /
-  /// reputation surcharge) was already charged -- the accounting and
+  /// reputation escalation) was already charged -- the accounting and
   /// reputation penalty stick, an extraction suspect cannot convert
   /// overload into free tuples. Not owned; must outlive the gate.
   ResourceGovernor* governor = nullptr;
@@ -104,10 +104,11 @@ class QueryGate {
   /// the serial ProtectedDatabase it fronts); the charged stall parks
   /// on `scheduler` and `done` fires on a dispatcher thread at expiry.
   /// Perimeter denials complete inline. Requires the database to be
-  /// opened with defer_delay_sleep -- otherwise the inner engine has
-  /// already served the stall and nothing is parked. `session` groups
-  /// the parked stall for DelayScheduler::CancelGroup (session
-  /// eviction).
+  /// opened with defer_delay_sleep, so the gate is the one who serves:
+  /// the escalated charge parks whole. Without it the database has
+  /// already served the stall at the statement's exit and a zero stall
+  /// parks. `session` groups the parked stall for
+  /// DelayScheduler::CancelGroup (session eviction).
   void ExecuteSqlAsync(const Identity& identity, const std::string& sql,
                        DelayScheduler* scheduler, AsyncCompletion done,
                        StallGroup session = 0);

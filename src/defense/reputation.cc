@@ -350,36 +350,4 @@ void ReputationStore::CountSignal(ReputationSignal source, uint64_t n) {
   if (c != nullptr) c->Increment(static_cast<int64_t>(n));
 }
 
-ReputationDelayPolicy::ReputationDelayPolicy(const DelayPolicy* base,
-                                             const ReputationStore* store)
-    : base_(base), store_(store) {}
-
-double ReputationDelayPolicy::DelayFor(int64_t key) const {
-  return base_ != nullptr ? base_->DelayFor(key) : 0.0;
-}
-
-std::string ReputationDelayPolicy::name() const {
-  std::string inner = base_ != nullptr ? base_->name() : "none";
-  return "reputation(" + inner + ")";
-}
-
-double ReputationDelayPolicy::DelayForPrincipal(int64_t key,
-                                                uint64_t identity,
-                                                uint32_t subnet24,
-                                                double now_seconds) const {
-  return Compose(DelayFor(key), identity, subnet24, now_seconds);
-}
-
-double ReputationDelayPolicy::Compose(double base_delay_seconds,
-                                      uint64_t identity,
-                                      uint32_t subnet24,
-                                      double now_seconds) const {
-  if (store_ == nullptr || base_delay_seconds <= 0.0) {
-    return base_delay_seconds;
-  }
-  double factor =
-      std::max(1.0, store_->PenaltyFactor(identity, subnet24, now_seconds));
-  return base_delay_seconds * factor;
-}
-
 }  // namespace tarpit

@@ -16,9 +16,8 @@
 
 namespace tarpit {
 
-/// Tuning for reputation-escalating delay (ROADMAP open item 2, in the
-/// spirit of delayer's 1->60s per-IP backoff and mopher's
-/// session-accumulating tarpit).
+/// Tuning for reputation-escalating delay (in the spirit of delayer's
+/// 1->60s per-IP backoff and mopher's session-accumulating tarpit).
 struct ReputationOptions {
   /// Multiplicative bump applied to an identity's penalty factor per
   /// unit-strength signal.
@@ -192,41 +191,6 @@ class ReputationStore : public PrincipalPenalty {
   obs::Counter* m_evictions_ = nullptr;
   obs::Gauge* m_tracked_identities_ = nullptr;
   obs::Gauge* m_tracked_subnets_ = nullptr;
-};
-
-/// DelayPolicy adapter: composes a base policy (typically the
-/// CombinedDelayPolicy stack) with a ReputationStore. The anonymous
-/// DelayFor(key) is the base policy unchanged (factor 1 -- reputation
-/// needs a principal), so the policy slots anywhere a DelayPolicy
-/// does; principal-aware callers use DelayForPrincipal / Compose.
-///
-/// Invariant: for every (key, principal, time),
-///   DelayForPrincipal(...) >= base->DelayFor(key).
-class ReputationDelayPolicy : public DelayPolicy {
- public:
-  /// Neither pointer is owned; both must outlive this object. `store`
-  /// may be null (pure pass-through).
-  ReputationDelayPolicy(const DelayPolicy* base,
-                        const ReputationStore* store);
-
-  double DelayFor(int64_t key) const override;
-  std::string name() const override;
-
-  /// base delay for `key`, escalated by the principal's penalty.
-  double DelayForPrincipal(int64_t key, uint64_t identity,
-                           uint32_t subnet24, double now_seconds) const;
-
-  /// Escalates an externally computed base delay (the concurrent front
-  /// door computes delays from read-mostly snapshots and composes
-  /// here). Never returns less than `base_delay_seconds`.
-  double Compose(double base_delay_seconds, uint64_t identity,
-                 uint32_t subnet24, double now_seconds) const;
-
-  const ReputationStore* store() const { return store_; }
-
- private:
-  const DelayPolicy* base_;
-  const ReputationStore* store_;
 };
 
 }  // namespace tarpit

@@ -9,12 +9,14 @@ AccessDelaySimulation::AccessDelaySimulation(
                                             decay_per_request);
   policy_ =
       std::make_unique<PopularityDelayPolicy>(tracker_.get(), params);
-  engine_ = std::make_unique<DelayEngine>(&clock_, policy_.get());
+  engine_ = std::make_unique<DelayEngine>(policy_.get());
 }
 
 double AccessDelaySimulation::ServeRequest(int64_t key) {
   tracker_->Record(key);
-  return engine_->Charge(key);
+  const double d = engine_->Charge(key);
+  clock_.SleepForSeconds(d);
+  return d;
 }
 
 void AccessDelaySimulation::ServeTrace(const std::vector<int64_t>& keys,

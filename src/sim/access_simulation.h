@@ -25,7 +25,8 @@ class AccessDelaySimulation {
                         PopularityDelayParams params);
 
   /// Serves one legitimate request: records the access (learning), then
-  /// charges the delay. Returns seconds charged.
+  /// charges the delay and serves it on the virtual clock. Returns
+  /// seconds charged.
   double ServeRequest(int64_t key);
 
   /// Replays a request stream, collecting per-request delays into

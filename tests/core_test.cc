@@ -1,6 +1,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -243,42 +244,47 @@ TEST(AdaptiveDecayTest, StatsComeFromBestTracker) {
 
 // ---------- DelayEngine ----------
 
-TEST(DelayEngineTest, ChargeAdvancesVirtualClock) {
-  VirtualClock clock;
-  CountTracker tracker(10, 1.0);
-  tracker.Record(1);
-  PopularityDelayParams params;
-  params.scale = 2.0;  // Delay for key 1 = 2 / 1 = 2s.
-  params.bounds = {0.0, 100.0};
-  PopularityDelayPolicy policy(&tracker, params);
-  DelayEngine engine(&clock, &policy);
+/// A policy that charges every key the same delay.
+class ConstantPolicy : public DelayPolicy {
+ public:
+  explicit ConstantPolicy(double seconds) : seconds_(seconds) {}
+  double DelayFor(int64_t) const override { return seconds_; }
+  std::string name() const override { return "constant"; }
 
-  EXPECT_NEAR(engine.Peek(1), 2.0, 1e-9);
-  double charged = engine.Charge(1);
-  EXPECT_NEAR(charged, 2.0, 1e-9);
-  EXPECT_EQ(clock.NowMicros(), 2'000'000);
-  EXPECT_EQ(engine.charges(), 1u);
-  EXPECT_NEAR(engine.total_delay_seconds(), 2.0, 1e-9);
+ private:
+  double seconds_;
+};
+
+TEST(DelayEngineTest, ChargeIsBaseTimesFactorNeverBelowBase) {
+  ConstantPolicy policy(0.5);
+  DelayEngine engine(&policy);
+  EXPECT_EQ(engine.Peek(1), 0.5);
+  // Default factor: exactly the base policy's delay.
+  EXPECT_EQ(engine.Charge(1), 0.5);
+  // Escalated: the product, accounted as charged.
+  EXPECT_EQ(engine.Charge(2, 6.0), 3.0);
+  // A factor below 1 never discounts.
+  EXPECT_EQ(engine.Charge(3, 0.25), 0.5);
+  EXPECT_EQ(engine.charges(), 3u);
+  EXPECT_EQ(engine.total_delay_seconds(), 4.0);
+
+  // Nothing to escalate: a zero base stays zero at any factor.
+  ConstantPolicy free_policy(0.0);
+  DelayEngine free_engine(&free_policy);
+  EXPECT_EQ(free_engine.Charge(1, 64.0), 0.0);
 }
 
-TEST(DelayEngineTest, ChargeAllSumsPerTupleDelays) {
-  VirtualClock clock;
-  CountTracker tracker(10, 1.0);
-  tracker.Record(1);
-  tracker.Record(1);
-  tracker.Record(2);
-  PopularityDelayParams params;
-  params.scale = 1.0;
-  params.bounds = {0.0, 100.0};
-  PopularityDelayPolicy policy(&tracker, params);
-  DelayEngine engine(&clock, &policy);
-  // d(1) = 1/2, d(2) = 1.
-  double total = engine.ChargeAll({1, 2});
-  EXPECT_NEAR(total, 1.5, 1e-9);
-  EXPECT_EQ(engine.charges(), 2u);
-  engine.ResetAccounting();
-  EXPECT_EQ(engine.charges(), 0u);
-  EXPECT_EQ(engine.total_delay_seconds(), 0.0);
+TEST(DelayEngineTest, SketchMemoryIsBounded) {
+  // A long-running server charges through the engine forever; its
+  // delay distribution must not keep every sample.
+  ConstantPolicy policy(0.5);
+  DelayEngine engine(&policy);
+  for (int i = 0; i < 100'000; ++i) engine.Charge(i);
+  EXPECT_LE(engine.delay_sketch().reservoir_size(), 4096u);
+  EXPECT_EQ(engine.delay_sketch().count(), 100'000u);
+  EXPECT_EQ(engine.delay_sketch().Sum(), 50'000.0);
+  EXPECT_EQ(engine.total_delay_seconds(), 50'000.0);
+  EXPECT_EQ(engine.delay_sketch().Median(), 0.5);
 }
 
 // ---------- ProtectedDatabase (integration) ----------
@@ -353,6 +359,53 @@ TEST_F(ProtectedDbTest, MultiTupleQueryChargesSum) {
   EXPECT_EQ(r->result.rows.size(), 5u);
   // Each of the 5 tuples: count 1 -> 1s each.
   EXPECT_NEAR(r->delay_seconds, 5.0, 1e-9);
+}
+
+TEST_F(ProtectedDbTest, SelectServesItsSummedChargeAsOneStall) {
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 1.0 / 3.0;  // 1/3 s per first-time tuple.
+  opts.popularity.bounds = {0.0, 10.0};
+  OpenDb(opts);
+  const int64_t before = clock_.NowMicros();
+  auto r = pdb_->ExecuteSql("SELECT * FROM items WHERE id >= 0 AND id < 3");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->result.rows.size(), 3u);
+  EXPECT_NEAR(r->delay_seconds, 1.0, 1e-12);
+  // The statement's whole charge is rounded up once: exactly
+  // DelayToMicros(sum), not the per-tuple sum of round-ups
+  // (3 x 333,334 us).
+  EXPECT_EQ(clock_.NowMicros() - before,
+            Clock::DelayToMicros(r->delay_seconds));
+  EXPECT_EQ(pdb_->Metrics().delays_charged, 3u);
+  EXPECT_EQ(pdb_->Metrics().total_delay_seconds, r->delay_seconds);
+}
+
+TEST_F(ProtectedDbTest, SubMicrosecondGetByKeyStillCostsATick) {
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 1e-9;
+  opts.popularity.bounds = {0.0, 10.0};
+  OpenDb(opts);
+  const int64_t before = clock_.NowMicros();
+  auto r = pdb_->GetByKey(4);
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(r->delay_seconds, 0.0);
+  ASSERT_LT(r->delay_seconds, 1e-6);
+  EXPECT_EQ(clock_.NowMicros() - before, 1);
+}
+
+TEST_F(ProtectedDbTest, DeferredStatementAccountsButDoesNotServe) {
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 1.0;
+  opts.popularity.bounds = {0.0, 10.0};
+  opts.defer_delay_sleep = true;
+  OpenDb(opts);
+  const int64_t before = clock_.NowMicros();
+  auto r = pdb_->ExecuteSql("SELECT * FROM items WHERE id >= 0 AND id < 3",
+                            /*factor=*/2.0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_NEAR(r->delay_seconds, 6.0, 1e-12);
+  EXPECT_EQ(clock_.NowMicros(), before);  // The caller serves.
+  EXPECT_EQ(pdb_->Metrics().total_delay_seconds, r->delay_seconds);
 }
 
 TEST_F(ProtectedDbTest, ExtractionPaysOrdersOfMagnitudeMore) {

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "core/resource_governor.h"
 #include "defense/identity.h"
 #include "defense/query_gate.h"
+#include "defense/reputation.h"
 #include "obs/failpoint_metrics.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
@@ -872,6 +874,218 @@ TEST(RecoveryDriftTest, ChargedDelaySurvivesRestart) {
   EXPECT_EQ(m.delays_charged, oracle_charges + 4);
   EXPECT_GE((*pdb)->ledger_base_charges(), oracle_charges);
 }
+
+// ---------- One charge: what callers pay is what the ledger holds ----------
+
+/// Runs the sharded door through: 50 point gets (charged in its
+/// accounting stripes), Checkpoint, one pk SELECT (charged in the inner
+/// engine), then a crash without a checkpoint. Returns the totals a
+/// reopen recovers; `appends` is the ledger records written.
+struct DoorLedgerRun {
+  double charged = 0;
+  double recovered = 0;
+  uint64_t recovered_charges = 0;
+  uint64_t appends = 0;
+};
+
+DoorLedgerRun RunShardedDoorThenCrash(const std::string& dir,
+                                      uint64_t snapshot_every) {
+  VirtualClock clock;
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 0.01;  // First access to a key: 0.01 s.
+  opts.popularity.bounds = {0.0, 10.0};
+  opts.persist_delay_ledger = true;
+  opts.delay_ledger_snapshot_every = snapshot_every;
+  DoorLedgerRun run;
+  {
+    ConcurrentDatabaseOptions copts;
+    copts.mode = ConcurrencyMode::kSharded;
+    auto cdb = ConcurrentProtectedDatabase::Open(dir, "items", &clock, opts,
+                                                 copts);
+    EXPECT_TRUE(cdb.ok()) << cdb.status().ToString();
+    if (!cdb.ok()) return run;
+    EXPECT_TRUE((*cdb)
+                    ->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
+                                 "v DOUBLE)")
+                    .ok());
+    for (int i = 0; i < 60; ++i) {
+      EXPECT_TRUE((*cdb)
+                      ->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                     Value(1.0)})
+                      .ok());
+    }
+    for (int i = 0; i < 50; ++i) {
+      auto r = (*cdb)->GetByKey(i);
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) run.charged += r->delay_seconds;
+    }
+    EXPECT_TRUE((*cdb)->Checkpoint().ok());
+    auto r = (*cdb)->ExecuteSql("SELECT * FROM items WHERE id = 55");
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) run.charged += r->delay_seconds;
+    run.appends = (*cdb)->unsafe_inner()->delay_ledger().appends();
+  }  // Crash: no checkpoint after the SELECT.
+  auto pdb = ProtectedDatabase::Open(dir, "items", &clock, opts);
+  EXPECT_TRUE(pdb.ok()) << pdb.status().ToString();
+  if (!pdb.ok()) return run;
+  run.recovered = (*pdb)->ledger_base_delay_seconds();
+  run.recovered_charges = (*pdb)->ledger_base_charges();
+  return run;
+}
+
+TEST(DoorLedgerTest, SnapshotAfterCheckpointKeepsStripeCharges) {
+  TempDir dir("door_ledger");
+  // Cadence 1: the SELECT's charge reaches the ledger at once, on top
+  // of the stripe charges the checkpoint reported.
+  const DoorLedgerRun run = RunShardedDoorThenCrash(dir.path(), 1);
+  EXPECT_NEAR(run.charged, 0.51, 1e-12);
+  EXPECT_NEAR(run.recovered, run.charged, 1e-12 * run.charged);
+  EXPECT_EQ(run.recovered_charges, 51u);
+  // One synced record at the checkpoint, one cadence record at the
+  // SELECT -- no stray record from a cadence counter that underflowed.
+  EXPECT_EQ(run.appends, 2u);
+}
+
+TEST(DoorLedgerTest, DefaultCadenceKeepsCheckpointedCharges) {
+  TempDir dir("door_ledger_default");
+  const DoorLedgerRun run = RunShardedDoorThenCrash(dir.path(), 256);
+  // The checkpointed 0.50 s survives; the one SELECT charge since is
+  // inside the cadence window a crash may lose.
+  EXPECT_NEAR(run.recovered, 0.50, 1e-12);
+  EXPECT_EQ(run.recovered_charges, 50u);
+  EXPECT_EQ(run.appends, 1u);
+}
+
+constexpr uint64_t kAliceId = 42;
+constexpr uint32_t kAliceSubnet = 0x0A000100;  // 10.0.1.0/24
+
+enum class Door { kGate, kGateDeferred, kGlobalLock, kSharded };
+enum class Shape { kPoint, kRange3 };
+
+std::string DoorName(Door d) {
+  switch (d) {
+    case Door::kGate: return "Gate";
+    case Door::kGateDeferred: return "GateDeferred";
+    case Door::kGlobalLock: return "GlobalLock";
+    case Door::kSharded: return "Sharded";
+  }
+  return "?";
+}
+
+class ChargedEqualsLedgerTest
+    : public ::testing::TestWithParam<std::tuple<Door, Shape>> {};
+
+TEST_P(ChargedEqualsLedgerTest, EscalatedPrincipal) {
+  const auto [door, shape] = GetParam();
+  TempDir dir("charged_" + DoorName(door) +
+              (shape == Shape::kPoint ? "_point" : "_range"));
+  VirtualClock clock;
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 0.003;
+  opts.popularity.bounds = {0.0, 10.0};
+  opts.persist_delay_ledger = true;
+  opts.defer_delay_sleep = door == Door::kGateDeferred;
+  ReputationOptions ropts;
+  ropts.breadth_free_fraction = 1.0;  // Only the injected signal counts.
+  ReputationStore store(ropts);
+  store.RecordSignal(kAliceId, kAliceSubnet, 0.0,
+                     ReputationSignal::kExternal, 2.0);  // 4x.
+  ASSERT_GT(store.PenaltyFactor(kAliceId, kAliceSubnet, 0.0), 1.0);
+
+  auto sql_for = [&](int i) {
+    const int k = (i * 7) % 40;
+    return shape == Shape::kPoint
+               ? "SELECT * FROM items WHERE id = " + std::to_string(k)
+               : "SELECT * FROM items WHERE id >= " + std::to_string(k) +
+                     " AND id < " + std::to_string(k + 3);
+  };
+  const char* kCreate = "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)";
+  double charged = 0;
+  uint64_t tuples = 0;
+  double metrics_total = 0;
+  if (door == Door::kGate || door == Door::kGateDeferred) {
+    auto pdb = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
+    ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
+    ASSERT_TRUE((*pdb)->ExecuteSql(kCreate).ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*pdb)
+                      ->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                     Value(1.0)})
+                      .ok());
+    }
+    QueryGateOptions qopts;
+    qopts.per_user_queries_per_second = 1e6;
+    qopts.per_user_burst = 1e6;
+    qopts.per_subnet_queries_per_second = 1e6;
+    qopts.per_subnet_burst = 1e6;
+    qopts.coverage_escalation = true;  // Escalates from the 2nd query.
+    qopts.reputation = &store;
+    QueryGate gate(pdb->get(), qopts);
+    Identity alice;
+    alice.id = kAliceId;
+    alice.ipv4 = kAliceSubnet | 7;
+    for (int i = 0; i < 20; ++i) {
+      auto r = gate.ExecuteSql(alice, sql_for(i));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      charged += r->delay_seconds;
+      tuples += r->result.touched_keys.size();
+    }
+    EXPECT_GT(gate.events()->CountOfType(
+                  obs::DefenseEventType::kCoverageEscalated),
+              0u);
+    EXPECT_GT(gate.events()->CountOfType(
+                  obs::DefenseEventType::kReputationEscalated),
+              0u);
+    metrics_total = (*pdb)->Metrics().total_delay_seconds;
+    ASSERT_TRUE((*pdb)->Checkpoint().ok());
+  } else {
+    ConcurrentDatabaseOptions copts;
+    copts.mode = door == Door::kGlobalLock ? ConcurrencyMode::kGlobalLock
+                                           : ConcurrencyMode::kSharded;
+    copts.reputation = &store;
+    auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
+                                                 &clock, opts, copts);
+    ASSERT_TRUE(cdb.ok()) << cdb.status().ToString();
+    ASSERT_TRUE((*cdb)->ExecuteSql(kCreate).ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*cdb)
+                      ->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                     Value(1.0)})
+                      .ok());
+    }
+    const RequestPrincipal alice{kAliceId, kAliceSubnet};
+    for (int i = 0; i < 20; ++i) {
+      auto r = shape == Shape::kPoint
+                   ? (*cdb)->GetByKey((i * 7) % 40, alice)
+                   : (*cdb)->ExecuteSql(sql_for(i), alice);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      charged += r->delay_seconds;
+      tuples += r->result.touched_keys.size();
+    }
+    metrics_total = (*cdb)->Metrics().total_delay_seconds;
+    ASSERT_TRUE((*cdb)->Checkpoint().ok());
+  }
+  ASSERT_EQ(tuples, shape == Shape::kPoint ? 20u : 60u);
+  ASSERT_GT(charged, 0.0);
+  EXPECT_NEAR(metrics_total, charged, 1e-12 * charged);
+
+  // The checkpointed ledger recovers the same bill.
+  auto reopened = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_NEAR((*reopened)->ledger_base_delay_seconds(), charged,
+              1e-12 * charged);
+  EXPECT_EQ((*reopened)->ledger_base_charges(), tuples);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDoor, ChargedEqualsLedgerTest,
+    ::testing::Combine(::testing::Values(Door::kGate, Door::kGateDeferred,
+                                         Door::kGlobalLock, Door::kSharded),
+                       ::testing::Values(Shape::kPoint, Shape::kRange3)),
+    [](const ::testing::TestParamInfo<std::tuple<Door, Shape>>& info) {
+      return DoorName(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == Shape::kPoint ? "Point" : "Range3");
+    });
 
 // ---------- Resource governor ----------
 

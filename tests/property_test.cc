@@ -19,8 +19,9 @@
 #include "common/random.h"
 #include "common/zipf.h"
 #include "core/analytic_zipf_delay.h"
-#include "defense/reputation.h"
+#include "core/delay_engine.h"
 #include "core/popularity_delay.h"
+#include "defense/reputation.h"
 #include "sim/adversary.h"
 #include "stats/count_tracker.h"
 #include "storage/btree.h"
@@ -494,7 +495,8 @@ class ReputationPropertyTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
   // Against random signal/decay/access histories, for every (key,
-  // principal, time) probe: ReputationDelayPolicy::Compose(d) >= d and
+  // principal, time) probe: the engine's escalated charge
+  // Charge(key, PenaltyFactor) >= the base policy's DelayFor(key), and
   // PenaltyFactor >= 1.
   Rng rng(GetParam());
   ReputationOptions opts;
@@ -503,7 +505,12 @@ TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
   opts.half_life_seconds = 1.0 + rng.NextDouble() * 100.0;
   opts.breadth_free_fraction = rng.NextDouble() * 0.1;
   ReputationStore store(opts);
-  ReputationDelayPolicy policy(nullptr, &store);
+  CountTracker tracker(500, 1.0);
+  PopularityDelayParams params;
+  params.scale = rng.NextDouble() * 10.0;
+  params.bounds = {0.0, 100.0};
+  PopularityDelayPolicy policy(&tracker, params);
+  DelayEngine engine(&policy);
 
   double now = 0.0;
   for (int step = 0; step < 2000; ++step) {
@@ -516,18 +523,20 @@ TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
                            ReputationSignal::kExternal,
                            rng.NextDouble() * 2.0);
         break;
-      case 1:
-        store.ObserveAccess(identity, subnet,
-                            static_cast<int64_t>(rng.Uniform(500)),
-                            500, now);
+      case 1: {
+        const int64_t key = static_cast<int64_t>(rng.Uniform(500));
+        tracker.Record(key);
+        store.ObserveAccess(identity, subnet, key, 500, now);
         break;
+      }
       case 2:
         store.RecordBenign(identity, subnet, now);
         break;
     }
-    const double base = rng.NextDouble() * 10.0;
-    const double composed = policy.Compose(base, identity, subnet, now);
-    ASSERT_GE(composed, base) << "step " << step;
+    const int64_t key = static_cast<int64_t>(rng.Uniform(500));
+    const double charged =
+        engine.Charge(key, store.PenaltyFactor(identity, subnet, now));
+    ASSERT_GE(charged, policy.DelayFor(key)) << "step " << step;
     ASSERT_GE(store.PenaltyFactor(identity, subnet, now), 1.0)
         << "step " << step;
   }
