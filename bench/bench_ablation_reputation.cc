@@ -403,6 +403,7 @@ int main() {
   std::printf("open-loop gate (real clock, deferred delays): p50 %.0fus "
               "p99 %.0fus p999 %.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
 
   if (const char* json_path = std::getenv("TARPIT_BENCH_JSON")) {
     if (json_path[0] != '\0') {
@@ -451,5 +452,5 @@ int main() {
     }
   }
 
-  return (ordering_pass && sybil_pass && benign_pass) ? 0 : 1;
+  return (ordering_pass && sybil_pass && benign_pass && floor_pass) ? 0 : 1;
 }

@@ -348,6 +348,7 @@ int main() {
   std::printf("open-loop sharded reads: p50 %.0fus p99 %.0fus p999 "
               "%.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
 
   if (const char* json_path = std::getenv("TARPIT_BENCH_JSON")) {
     if (json_path[0] != '\0') {
@@ -382,5 +383,5 @@ int main() {
   }
 
   fs::remove_all(base);
-  return 0;
+  return floor_pass ? 0 : 1;
 }

@@ -20,11 +20,11 @@
 //   2. overhead -- open-loop p50 (bench/openloop.h: latency from the
 //      INTENDED exponential send time, coordinated-omission-free) of
 //      undelayed point reads over the wire vs. the in-process async
-//      door. Both paths ride the same DelayScheduler (a zero delay
-//      still rounds up to the next wheel tick), so the ratio isolates
-//      what the network adds: accept/frame/epoll/write. Bar: <= 2x
-//      (4x tiny: CI boxes share cores and the absolute numbers are
-//      sub-millisecond).
+//      door. Both paths take the same door, where a zero charge
+//      completes on the calling thread, so the ratio isolates what the
+//      network adds: frame/epoll/read/write and the client's wakeup.
+//      Bar: <= 2x (4x tiny: CI boxes share cores and the absolute
+//      numbers are sub-millisecond).
 //
 //   3. drift -- a serial client replays a Zipf stream with every 8th
 //      request issued from a throwaway connection that HANGS UP
@@ -225,9 +225,9 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
 
 // ---- Phase 2: network vs in-process p50 on undelayed reads. ---------
 
-/// In-process op: the async door, awaited synchronously. A zero delay
-/// still parks on the wheel until the next tick, exactly like the
-/// server-side path -- the comparison isolates the network.
+/// In-process op: the async door, awaited synchronously. A zero charge
+/// completes inside the door call, exactly like the server-side path
+/// -- the comparison isolates the network.
 bench::OpenLoopStats RunInprocOpenLoop(const fs::path& dir,
                                        const bench::OpenLoopOptions& oopts) {
   RealClock clock;
@@ -423,6 +423,9 @@ int main() {
               inproc.p50_us, inproc.p99_us, wire.p50_us, wire.p99_us,
               wire.p999_us, overhead, overhead_target,
               overhead_pass ? "PASS" : "FAIL");
+  const bool inproc_floor_pass = bench::HarnessFloorOk(inproc);
+  const bool wire_floor_pass = bench::HarnessFloorOk(wire);
+  const bool floor_pass = inproc_floor_pass && wire_floor_pass;
 
   // -- Phase 3 --------------------------------------------------------
   const DriftResult drift = RunDrift(base / "drift", drift_ops);
@@ -456,6 +459,8 @@ int main() {
             "  \"inproc_p50_us\": %.1f,\n"
             "  \"inproc_p99_us\": %.1f,\n"
             "  \"inproc_p999_us\": %.1f,\n"
+            "  \"inproc_harness_floor_p50_us\": %.2f,\n"
+            "  \"inproc_harness_floor_p99_us\": %.2f,\n"
             "%s"
             "  \"overhead_ratio_p50\": %.4f,\n"
             "  \"overhead_target\": %.1f,\n"
@@ -475,7 +480,8 @@ int main() {
             static_cast<long long>(cap.parked_gauge_peak),
             cap.fill_seconds, cap.stop_seconds,
             cap.pass ? "true" : "false", inproc.p50_us, inproc.p99_us,
-            inproc.p999_us, bench::OpenLoopJsonFields(wire).c_str(),
+            inproc.p999_us, inproc.floor_p50_us, inproc.floor_p99_us,
+            bench::OpenLoopJsonFields(wire).c_str(),
             overhead, overhead_target, overhead_pass ? "true" : "false",
             drift.ops, drift.probes,
             static_cast<unsigned long long>(drift.hangups_seen),
@@ -488,5 +494,5 @@ int main() {
   }
 
   fs::remove_all(base);
-  return (cap.pass && overhead_pass && drift.pass) ? 0 : 1;
+  return (cap.pass && overhead_pass && drift.pass && floor_pass) ? 0 : 1;
 }

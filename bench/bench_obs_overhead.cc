@@ -311,6 +311,7 @@ int main() {
   std::printf("open-loop (forensics-on): p50 %.0fus p99 %.0fus p999 "
               "%.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
   std::printf("risk observations: %llu, events appended: %llu\n",
               static_cast<unsigned long long>(risk_observations),
               static_cast<unsigned long long>(events.appended_total()));
@@ -366,7 +367,8 @@ int main() {
   }
 
   fs::remove_all(base);
-  return (overhead_pass && forensics_pass && watchdog_healthy && counted)
+  return (overhead_pass && forensics_pass && watchdog_healthy && counted &&
+          floor_pass)
              ? 0
              : 1;
 }

@@ -472,6 +472,7 @@ int main() {
   std::printf("open-loop storage reads: p50 %.0fus p99 %.0fus p999 "
               "%.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
 
   FloodResult flood = MeasureGovernorFlood(base / "flood", tiny);
   std::printf(
@@ -547,5 +548,7 @@ int main() {
   }
 
   fs::remove_all(base);
-  return (fp.pass && rec.pass && drift.pass && flood.pass) ? 0 : 1;
+  return (fp.pass && rec.pass && drift.pass && flood.pass && floor_pass)
+             ? 0
+             : 1;
 }

@@ -231,6 +231,8 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
 /// submit-side stall the closed-loop runs above would silently absorb.
 bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
                                       double mean_interarrival_us) {
+  bench::OpenLoopStats stats;
+  bench::MeasureHarnessFloor(/*threads=*/1, mean_interarrival_us, &stats);
   RealClock clock;
   auto db = OpenDb(dir, &clock, /*async_stalls=*/true, nullptr);
   const auto seq = MakeSequence(ops, 0x01CE0Fu);
@@ -250,11 +252,10 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
   std::mutex mu;
   std::condition_variable cv;
   size_t completed = 0;
+  bench::UseFineTimerSlack();
   const int64_t t0 = bench::OpenLoopNowMicros();
   for (size_t i = 0; i < seq.size(); ++i) {
-    while (bench::OpenLoopNowMicros() < intended[i]) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    bench::WaitUntilNanos(intended[i] * 1000);
     db->GetByKeyAsync(seq[i], [&, i](Result<ProtectedResult> r) {
       if (!r.ok()) std::abort();
       const int64_t now = bench::OpenLoopNowMicros();
@@ -272,7 +273,6 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
   fs::remove_all(dir);
 
   std::sort(lat.begin(), lat.end());
-  bench::OpenLoopStats stats;
   stats.ops = lat.size();
   stats.p50_us = bench::PercentileUs(lat, 0.50);
   stats.p99_us = bench::PercentileUs(lat, 0.99);
@@ -420,6 +420,7 @@ int main() {
   std::printf("open-loop async stalls: p50 %.0fus p99 %.0fus p999 "
               "%.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
 
   if (const char* json_path = std::getenv("TARPIT_BENCH_JSON")) {
     if (json_path[0] != '\0') {
@@ -469,5 +470,8 @@ int main() {
   }
 
   fs::remove_all(base);
-  return (ratio_pass && drift_pass && median_pass && gauge_pass) ? 0 : 1;
+  return (ratio_pass && drift_pass && median_pass && gauge_pass &&
+          floor_pass)
+             ? 0
+             : 1;
 }

@@ -312,6 +312,7 @@ int main() {
   std::printf("open-loop mixed @4t (intended-time latency): p50 %.0fus "
               "p99 %.0fus p999 %.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
+  const bool floor_pass = bench::HarnessFloorOk(ol);
 
   // 3. Charged-delay fidelity vs the serial oracle.
   const double drift = RunDrift(base);
@@ -333,17 +334,14 @@ int main() {
             "  \"qps_exclusive_8t\": %.1f,\n"
             "  \"write_speedup_8t\": %.3f,\n"
             "  \"speedup_pass\": %s,\n"
-            "  \"openloop_p50_us\": %.1f,\n"
-            "  \"openloop_p99_us\": %.1f,\n"
-            "  \"openloop_p999_us\": %.1f,\n"
-            "  \"openloop_achieved_qps\": %.1f,\n"
+            "%s"
             "  \"delay_drift\": %.9f,\n"
             "  \"drift_pass\": %s\n"
             "}\n",
             TinyConfig() ? "true" : "false", kRows, kOpsPerThread,
             qps_mvcc, qps_exclusive, speedup,
-            speedup >= 2.0 ? "true" : "false", ol.p50_us, ol.p99_us,
-            ol.p999_us, ol.achieved_qps, drift,
+            speedup >= 2.0 ? "true" : "false",
+            bench::OpenLoopJsonFields(ol).c_str(), drift,
             drift <= 1e-4 ? "true" : "false");
         std::fclose(f);
         std::printf("json written to %s\n", json_path);
@@ -352,5 +350,5 @@ int main() {
   }
 
   fs::remove_all(base);
-  return 0;
+  return floor_pass ? 0 : 1;
 }

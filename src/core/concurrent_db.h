@@ -214,9 +214,11 @@ class ConcurrentProtectedDatabase {
                                    const RequestPrincipal& who);
 
   /// Completion callback for the async entry points. Runs on a
-  /// scheduler dispatcher thread when the stall expires; perimeter /
-  /// storage errors (nothing to stall for) complete inline on the
-  /// submitting thread. A parked request cancelled by CancelSession or
+  /// scheduler dispatcher thread when a parked stall expires. A zero
+  /// charge and a perimeter / storage error (nothing to stall for)
+  /// complete inline on the submitting thread, before the entry point
+  /// returns: a caller must not hold a lock across the call that its
+  /// callback takes. A parked request cancelled by CancelSession or
   /// shutdown completes with Status::Cancelled -- the tuple is
   /// withheld because its delay was never served.
   using AsyncCompletion = std::function<void(Result<ProtectedResult>)>;

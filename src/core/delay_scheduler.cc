@@ -73,22 +73,34 @@ TimerId DelayScheduler::Submit(double delay_seconds, Callback done,
                                StallGroup group) {
   const int64_t delay_us = Clock::DelayToMicros(delay_seconds);
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (!stop_) {
       ++scheduled_total_;
       if (m_scheduled_ != nullptr) m_scheduled_->Increment();
       const TimerId id = next_id_++;
       if (virtual_ || delay_us == 0) {
-        // Instant fire: virtual time charges without waiting, and a
-        // zero delay has nothing to wait for. FIFO through the
-        // completion queue preserves submission order.
         ++fired_total_;
-        ready_.push_back(Completion{std::move(done), false});
         if (m_fired_ != nullptr) m_fired_->Increment();
-        if (m_queue_depth_ != nullptr) {
-          m_queue_depth_->Set(static_cast<int64_t>(ready_.size()));
+        if (virtual_) {
+          // Instant fire: virtual time charges without waiting. FIFO
+          // through the completion queue preserves submission order.
+          ready_.push_back(Completion{std::move(done), false});
+          if (m_queue_depth_ != nullptr) {
+            m_queue_depth_->Set(static_cast<int64_t>(ready_.size()));
+          }
+          ready_cv_.notify_one();
+          return id;
         }
-        ready_cv_.notify_one();
+        // DelayToMicros rounds up, so 0 means the charge was zero or
+        // negative: a deadline <= now has nothing to wait for and
+        // cannot be served short. Complete on the calling thread,
+        // outside the lock (the callback may re-enter); executing_
+        // keeps Drain() and Shutdown() waiting until it returns.
+        ++executing_;
+        lock.unlock();
+        done(/*cancelled=*/false);
+        lock.lock();
+        EndExecutingLocked();
         return id;
       }
       Entry* e = new Entry;
@@ -208,6 +220,11 @@ void DelayScheduler::Shutdown(ShutdownMode mode) {
     for (auto& d : dispatchers_) {
       if (d.joinable()) d.join();
     }
+    // A zero-delay callback may still be running on a submitting
+    // thread; it touches mu_ once more on return, so the scheduler
+    // must outlive it.
+    std::unique_lock<std::mutex> lock(mu_);
+    drain_cv_.wait(lock, [this] { return executing_ == 0; });
   }
 }
 
@@ -474,10 +491,14 @@ void DelayScheduler::DispatcherLoop() {
     lock.unlock();
     c.done(c.cancelled);  // Outside the lock: callbacks may re-enter.
     lock.lock();
-    --executing_;
-    if (ready_.empty() && entries_.empty() && executing_ == 0) {
-      drain_cv_.notify_all();
-    }
+    EndExecutingLocked();
+  }
+}
+
+void DelayScheduler::EndExecutingLocked() {
+  --executing_;
+  if (ready_.empty() && entries_.empty() && executing_ == 0) {
+    drain_cv_.notify_all();
   }
 }
 

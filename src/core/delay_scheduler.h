@@ -57,7 +57,9 @@ struct DelaySchedulerOptions {
 /// plus `num_dispatchers` completion workers. Expired/cancelled
 /// entries move to a FIFO completion queue; dispatchers pop and invoke
 /// the callback OUTSIDE the scheduler lock, so callbacks may submit,
-/// cancel, or block without deadlocking the wheel.
+/// cancel, or block without deadlocking the wheel. A zero delay on a
+/// real clock skips the hop: its callback runs on the submitting
+/// thread, also outside the lock.
 ///
 /// Every submitted callback is invoked exactly once, with
 /// `cancelled == false` on expiry and `cancelled == true` when the
@@ -87,8 +89,13 @@ class DelayScheduler {
   DelayScheduler(const DelayScheduler&) = delete;
   DelayScheduler& operator=(const DelayScheduler&) = delete;
 
-  /// Parks `done` for `delay_seconds` (rounded up to a tick). Zero or
-  /// negative delays complete through the queue immediately, in
+  /// Parks `done` for `delay_seconds` (rounded up to a tick, so any
+  /// positive delay waits at least one tick). On a real clock a zero
+  /// or negative delay runs `done(false)` on the calling thread before
+  /// Submit returns, outside the scheduler lock: the callback may
+  /// re-enter Submit/Cancel/CancelGroup, but a caller must not hold a
+  /// lock across Submit that its callback takes. Under a virtual clock
+  /// every submission fires through the completion queue in
   /// submission order. After shutdown the callback fires inline with
   /// cancelled=true and the returned id is 0.
   TimerId Submit(double delay_seconds, Callback done, StallGroup group = 0);
@@ -154,6 +161,9 @@ class DelayScheduler {
   /// Moves entries to the completion queue (deletes them) and wakes
   /// dispatchers.
   void CompleteLocked(std::vector<Entry*>* entries, bool cancelled);
+  /// A callback returned: drops executing_ and wakes Drain() waiters
+  /// once nothing is parked, queued or executing.
+  void EndExecutingLocked();
   void DriverLoop();
   void DispatcherLoop();
 

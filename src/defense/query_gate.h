@@ -103,7 +103,8 @@ class QueryGate {
   /// inline on the caller (the gate itself is single-threaded, like
   /// the serial ProtectedDatabase it fronts); the charged stall parks
   /// on `scheduler` and `done` fires on a dispatcher thread at expiry.
-  /// Perimeter denials complete inline. Requires the database to be
+  /// Perimeter denials and, on a real clock, a zero stall complete
+  /// inline, before this returns. Requires the database to be
   /// opened with defer_delay_sleep, so the gate is the one who serves:
   /// the escalated charge parks whole. Without it the database has
   /// already served the stall at the statement's exit and a zero stall

@@ -27,8 +27,9 @@ class FrameClient {
   int fd() const { return fd_.get(); }
 
   /// Sends kHello and waits for kHelloAck (which may itself be delayed
-  /// server-side: delay-before-serve). `ipv4` 0 lets the server use
-  /// the peer address.
+  /// server-side: delay-before-serve). `ipv4` is carried on the wire
+  /// but ignored: the server always takes the principal's /24 from the
+  /// peer address it observes.
   Status Hello(uint64_t identity, uint32_t ipv4 = 0,
                double timeout_seconds = 60.0);
 

@@ -18,9 +18,11 @@ namespace net {
 /// One epoll reactor. The server runs N of these, each on its own
 /// thread; every connection is owned by exactly one loop and all of its
 /// state is touched only from that loop's thread -- cross-thread work
-/// (accepted fds from the acceptor, engine completions from the
-/// DelayScheduler's dispatchers) arrives via Post(), which is the only
-/// thread-safe entry point besides Stop().
+/// (accepted fds from the acceptor, completions of parked stalls from
+/// the DelayScheduler's dispatchers) arrives via Post(), which is the
+/// only thread-safe entry point besides Stop(). A zero-charge request
+/// completes inside its door call on the loop thread and needs no
+/// Post.
 ///
 /// Registrations are keyed by an opaque token rather than the fd so a
 /// stale epoll event for a closed connection can never be misdelivered

@@ -20,7 +20,7 @@ namespace net {
 /// framing robustness suite).
 enum class FrameType : uint8_t {
   // Client -> server.
-  kHello = 0x01,   // [u64 identity][u32 ipv4]: principal attribution.
+  kHello = 0x01,   // [u64 identity][u32 ipv4, ignored]: principal.
   kQuery = 0x02,   // [sql text]
   kGetKey = 0x03,  // [i64 key]: the point-read fast path.
   // Server -> client.

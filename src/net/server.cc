@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/syscall_retry.h"
@@ -468,14 +469,16 @@ bool TarpitServer::DispatchFrame(Conn* conn, Frame frame) {
 
 bool TarpitServer::StartHello(Conn* conn, const Frame& frame) {
   uint64_t identity = 0;
-  uint32_t ipv4 = 0;
-  if (!ParseHello(frame.payload, &identity, &ipv4)) {
+  uint32_t claimed_ipv4 = 0;
+  if (!ParseHello(frame.payload, &identity, &claimed_ipv4)) {
     return ProtocolError(conn, StatusCode::kInvalidArgument,
                          "malformed hello", m_err_malformed_);
   }
-  if (ipv4 == 0) ipv4 = PeerIpv4(conn->fd);
+  // The /24 comes from the socket, never from the claim: a client that
+  // could name its own subnet would step out of the subnet penalty,
+  // the one score that identity churn cannot reset.
   conn->principal.identity = identity;
-  conn->principal.subnet24 = ipv4 & 0xFFFFFF00u;
+  conn->principal.subnet24 = PeerIpv4(conn->fd) & 0xFFFFFF00u;
   conn->has_principal = identity != 0;
 
   // Delayer-style delay-before-serve: a principal that already earned
@@ -538,20 +541,22 @@ bool TarpitServer::StartQuery(Conn* conn, Frame frame) {
                          "malformed get-key", m_err_malformed_);
   }
   // ADMIT -> COMPUTE_DELAY -> PARKED all happen inside the engine's
-  // async door; the loop thread returns as soon as the stall is parked
-  // (or the request completed inline on error). The connection id is
-  // the StallGroup, so a hang-up can cancel exactly this park.
+  // async door. The connection id is the StallGroup, so a hang-up can
+  // cancel exactly this park.
   conn->state = Conn::State::kBusy;
   conn->park_start_micros = EventLoop::NowMicros();
-  ArmKeepalive(conn);
-  MarkParked(true);
   inflight_engine_.fetch_add(1, std::memory_order_acq_rel);
   const size_t li = conn->loop_index;
   const uint64_t id = conn->id;
   auto done = [this, li, id](Result<ProtectedResult> r) {
-    // Runs on a scheduler dispatcher (stall expiry / cancellation) or
-    // inline on the loop thread (perimeter errors); either way the
-    // connection is only touched back on its own loop.
+    // On the loop thread the door completed inline (a zero charge or a
+    // perimeter error) and the call below has not returned yet: leave
+    // the result for it. Anything else ran on a scheduler dispatcher
+    // (stall expiry or cancellation) and marshals back to the loop.
+    if (loops_[li]->InLoopThread()) {
+      loop_state_[li]->inline_result = std::move(r);
+      return;
+    }
     loops_[li]->Post([this, li, id, r = std::move(r)]() mutable {
       OnEngineComplete(li, id, std::move(r));
     });
@@ -570,15 +575,34 @@ bool TarpitServer::StartQuery(Conn* conn, Frame frame) {
       db_->ExecuteSqlAsync(frame.payload, std::move(done), id);
     }
   }
+  std::optional<Result<ProtectedResult>>& inline_result =
+      loop_state_[li]->inline_result;
+  if (inline_result.has_value()) {
+    // Written here, not by re-entering ProcessFrames: its loop goes on
+    // to the next frame, so a long pipeline cannot grow the stack.
+    Result<ProtectedResult> r = std::move(*inline_result);
+    inline_result.reset();
+    return WriteResponse(conn, std::move(r));
+  }
+  // Parked: the completion comes back through Post.
+  ArmKeepalive(conn);
+  MarkParked(true);
   return true;
 }
 
 void TarpitServer::OnEngineComplete(size_t loop_index, uint64_t conn_id,
                                     Result<ProtectedResult> result) {
-  inflight_engine_.fetch_sub(1, std::memory_order_acq_rel);
   MarkParked(false);
   Conn* conn = FindConn(loop_index, conn_id);
-  if (conn == nullptr) return;  // Hung up mid-stall; charge already kept.
+  if (conn == nullptr) {  // Hung up mid-stall; charge already kept.
+    inflight_engine_.fetch_sub(1, std::memory_order_acq_rel);
+    return;
+  }
+  if (WriteResponse(conn, std::move(result))) (void)ProcessFrames(conn);
+}
+
+bool TarpitServer::WriteResponse(Conn* conn, Result<ProtectedResult> result) {
+  inflight_engine_.fetch_sub(1, std::memory_order_acq_rel);
   if (m_park_micros_ != nullptr) {
     m_park_micros_->Record(EventLoop::NowMicros() - conn->park_start_micros);
   }
@@ -600,8 +624,7 @@ void TarpitServer::OnEngineComplete(size_t loop_index, uint64_t conn_id,
     SendFrame(conn, FrameType::kError,
               ErrorPayload(static_cast<uint8_t>(s.code()), s.message()));
   }
-  if (!FlushConn(conn)) return;
-  (void)ProcessFrames(conn);
+  return FlushConn(conn);
 }
 
 void TarpitServer::SendFrame(Conn* conn, FrameType type,
@@ -778,18 +801,16 @@ bool TarpitServer::ProtocolError(Conn* conn, StatusCode code,
                                  obs::Counter* reason) {
   protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   if (reason != nullptr) reason->Increment();
-  if (conn->state == Conn::State::kBusy) {
-    // A request is in flight; don't interleave an error frame with its
-    // eventual (dropped) response -- just kill the connection. The
-    // engine park is cancelled by CloseConn; the charge stays.
-    CloseConn(conn, /*peer_hangup=*/false);
-    return false;
-  }
   SendFrame(conn, FrameType::kError,
             ErrorPayload(static_cast<uint8_t>(code), message));
   conn->close_after_write = true;
-  (void)FlushConn(conn);  // Either path ends with the conn gone...
-  return false;           // ...or close-after-write pending on EPOLLOUT.
+  if (FlushConn(conn) && conn->state == Conn::State::kBusy) {
+    // A request is in flight: its response must never follow the
+    // error, so close now with whatever did not flush. CloseConn
+    // cancels the engine park; the charge stays.
+    CloseConn(conn, /*peer_hangup=*/false);
+  }
+  return false;  // Gone, or close-after-write pending on EPOLLOUT.
 }
 
 }  // namespace net

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -167,9 +168,14 @@ class TarpitServer {
   bool DispatchFrame(Conn* conn, Frame frame);
   bool StartHello(Conn* conn, const Frame& frame);
   bool StartQuery(Conn* conn, Frame frame);
-  /// Engine completion, already marshalled onto the owning loop.
+  /// Dispatcher-side engine completion (a parked stall expired or was
+  /// cancelled), already marshalled onto the owning loop: writes the
+  /// response, then resumes the connection's pipelined frames.
   void OnEngineComplete(size_t loop_index, uint64_t conn_id,
                         Result<ProtectedResult> result);
+  /// Ends the in-flight request and writes its response. Both the
+  /// inline completion in StartQuery and OnEngineComplete come here.
+  bool WriteResponse(Conn* conn, Result<ProtectedResult> result);
   void FinishHelloDelay(size_t loop_index, uint64_t conn_id,
                         bool cancelled);
   void SendFrame(Conn* conn, FrameType type, std::string_view payload);
@@ -212,6 +218,10 @@ class TarpitServer {
   /// touched only by its loop thread.
   struct LoopState {
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
+    /// Set by a door call's completion when it ran inline on this loop
+    /// (a zero charge or a perimeter error); StartQuery takes it as
+    /// soon as the door call returns.
+    std::optional<Result<ProtectedResult>> inline_result;
   };
   std::vector<std::unique_ptr<LoopState>> loop_state_;
 

@@ -1,5 +1,6 @@
 // Edge-case tests for the DelayScheduler timer wheel: zero-delay
-// immediate fire, overflow-heap promotion (the "multi-hour stall"
+// immediate fire (inline on the submitting thread, re-entrant, covered
+// by Drain), the one-tick floor for any positive delay, overflow-heap promotion (the "multi-hour stall"
 // path, exercised through a deliberately tiny wheel geometry),
 // cancellation racing the cascade, virtual-clock instant-fire
 // ordering, group cancellation, and the drain/shutdown protocol.
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -19,6 +21,7 @@
 
 #include "common/clock.h"
 #include "core/delay_scheduler.h"
+#include "obs/metrics.h"
 
 namespace tarpit {
 namespace {
@@ -300,6 +303,112 @@ TEST(DelaySchedulerTest, PeakParkedTracksHighWaterMark) {
   sched.Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
   EXPECT_EQ(sched.parked(), 0u);
   EXPECT_EQ(sched.peak_parked(), 100u);  // High-water mark survives.
+}
+
+// A zero charge has nothing to wait for: the callback runs on the
+// submitting thread before Submit returns, and is still counted as
+// scheduled and fired (privately and in the registry).
+TEST(DelaySchedulerTest, ZeroDelayCompletesOnCallerBeforeSubmitReturns) {
+  RealClock clock;
+  obs::MetricRegistry registry;
+  DelaySchedulerOptions opts;
+  opts.metrics = &registry;
+  DelayScheduler sched(&clock, opts);
+
+  bool fired = false;
+  std::thread::id fired_on;
+  const TimerId id = sched.Submit(0.0, [&](bool cancelled) {
+    EXPECT_FALSE(cancelled);
+    fired = true;
+    fired_on = std::this_thread::get_id();
+  });
+  EXPECT_NE(id, 0u);
+  EXPECT_TRUE(fired);  // Plain bool: no other thread touched it.
+  EXPECT_EQ(fired_on, std::this_thread::get_id());
+  EXPECT_EQ(sched.scheduled_total(), 1u);
+  EXPECT_EQ(sched.fired_total(), 1u);
+  EXPECT_EQ(sched.parked(), 0u);
+  EXPECT_EQ(registry.GetCounter("tarpit_scheduler_scheduled_total")->Value(),
+            1);
+  EXPECT_EQ(registry.GetCounter("tarpit_scheduler_fired_total")->Value(), 1);
+}
+
+// The inline callback runs outside the scheduler lock, so it may
+// submit (inline or parked) and cancel without deadlocking.
+TEST(DelaySchedulerTest, InlineCallbackMayReenterSubmitAndCancelGroup) {
+  RealClock clock;
+  DelayScheduler sched(&clock);
+  constexpr StallGroup kGroup = 5;
+
+  bool nested_inline = false;
+  std::atomic<bool> parked_cancelled{false};
+  size_t cancelled_in_callback = 0;
+  sched.Submit(0.0, [&](bool) {
+    sched.Submit(
+        3600.0, [&](bool cancelled) { parked_cancelled = cancelled; },
+        kGroup);
+    sched.Submit(-1.0, [&](bool) { nested_inline = true; });
+    cancelled_in_callback = sched.CancelGroup(kGroup);
+  });
+  EXPECT_TRUE(nested_inline);
+  EXPECT_EQ(cancelled_in_callback, 1u);
+  sched.Drain();
+  EXPECT_TRUE(parked_cancelled.load());
+  EXPECT_EQ(sched.scheduled_total(), 3u);
+  EXPECT_EQ(sched.fired_total(), 2u);
+  EXPECT_EQ(sched.cancelled_total(), 1u);
+}
+
+// Drain() counts an inline callback running on another thread as
+// executing: it does not return until that callback has.
+TEST(DelaySchedulerTest, DrainWaitsForInlineCallbackOnAnotherThread) {
+  RealClock clock;
+  DelayScheduler sched(&clock);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread submitter([&] {
+    sched.Submit(0.0, [&](bool) {
+      entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    sched.Drain();
+    drained = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(drained.load());
+  release.set_value();
+  drainer.join();
+  submitter.join();
+  EXPECT_TRUE(drained.load());
+}
+
+// Any positive delay, however small, parks: it completes on a
+// dispatcher, never on the caller, and not before the next tick.
+TEST(DelaySchedulerTest, TinyPositiveDelayParksForAtLeastOneTick) {
+  RealClock clock;
+  DelaySchedulerOptions opts;
+  opts.tick_micros = 1000;
+  DelayScheduler sched(&clock, opts);
+
+  std::promise<std::pair<std::thread::id, int64_t>> fired;
+  const int64_t start = clock.NowMicros();
+  sched.Submit(1e-9, [&](bool cancelled) {
+    EXPECT_FALSE(cancelled);
+    fired.set_value({std::this_thread::get_id(), clock.NowMicros()});
+  });
+  const auto [fired_on, fired_at] = fired.get_future().get();
+  EXPECT_NE(fired_on, std::this_thread::get_id());
+  EXPECT_GE(fired_at - start, 1);  // 1e-9 s rounds up to 1 us.
+  EXPECT_GT(fired_at / opts.tick_micros, start / opts.tick_micros);
+  sched.Drain();
+  EXPECT_EQ(sched.fired_total(), 1u);
 }
 
 }  // namespace

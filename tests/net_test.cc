@@ -2,7 +2,9 @@
 // sockets, the framing robustness matrix (truncated frames, oversized
 // length prefixes rejected without an allocation, slow-loris read
 // timeout, seeded malformed-frame fuzz), keep-alive progress frames,
-// delay-before-serve, write backpressure, and the shutdown-ordering
+// delay-before-serve (keyed on the observed /24, whatever the Hello
+// claims), write backpressure, the pipelined-frame limit, a 10k-frame
+// zero-charge pipeline answered inline, and the shutdown-ordering
 // regression (1k parked connections: no leaked fds, no stall served
 // short, charges kept).
 //
@@ -469,6 +471,119 @@ TEST(NetServerTest, PipelinedFramesServeInOrder) {
     ASSERT_TRUE(ParseResponse(f->payload, &r));
     EXPECT_EQ(r.status_code, static_cast<uint8_t>(StatusCode::kOk));
   }
+}
+
+/// True when one serialized row in `text` starts with key `k`.
+bool HasRowWithKey(const std::string& text, int64_t k) {
+  const std::string row = std::to_string(k) + "\t";
+  for (size_t at = text.find(row); at != std::string::npos;
+       at = text.find(row, at + 1)) {
+    if (at == 0 || text[at - 1] == '\n') return true;
+  }
+  return false;
+}
+
+// Frames pipelined behind a PARKED request are bounded: past
+// max_pipelined_frames the connection gets ResourceExhausted and is
+// closed (its park cancelled), while every other connection is served.
+TEST(NetServerTest, PipelinedFrameLimitClosesOnlyTheAbuser) {
+  TarpitServerOptions sopts;
+  sopts.max_pipelined_frames = 64;
+  ServerHarness h(0.5, 0.5, sopts);
+
+  FrameClient abuser;
+  ASSERT_TRUE(abuser.Connect("127.0.0.1", h.server->port()).ok());
+  std::string burst;
+  for (int k = 0; k <= 100; ++k) {  // 1 parks, 100 pipeline behind it.
+    AppendFrame(&burst, FrameType::kGetKey, GetKeyPayload(1 + k % 64));
+  }
+  ASSERT_TRUE(abuser.SendRaw(burst).ok());
+  auto f = abuser.RecvFrame(10.0);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ(f->type, FrameType::kError);
+  WireResponse err;
+  ASSERT_TRUE(ParseError(f->payload, &err));
+  EXPECT_EQ(err.status_code,
+            static_cast<uint8_t>(StatusCode::kResourceExhausted));
+  auto eof = abuser.RecvFrame(10.0);
+  EXPECT_FALSE(eof.ok());  // Closed: no response follows the error.
+  EXPECT_EQ(h.server->responses_sent(), 0u);
+  EXPECT_EQ(h.db->delay_scheduler()->cancelled_total(), 1u);
+  EXPECT_EQ(h.metrics
+                .GetCounter("tarpit_net_protocol_errors_total",
+                            {{"reason", "pipeline_overflow"}})
+                ->Value(),
+            1);
+
+  FrameClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", h.server->port()).ok());
+  auto r = other.GetByKey(2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->status_code, static_cast<uint8_t>(StatusCode::kOk));
+  EXPECT_GE(r->delay_micros, 500'000u);
+}
+
+// Zero-charge requests complete inline on the loop thread. A long
+// pipeline of them must be answered iteratively, every response in
+// order: a completion that re-entered frame processing would nest one
+// stack level per queued frame and overflow here.
+TEST(NetServerTest, ZeroChargeBurstOf10kFramesServesInOrder) {
+  ServerHarness h(0.0, 0.0);
+  FrameClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  constexpr int kFrames = 10'000;
+  std::string burst;
+  for (int i = 0; i < kFrames; ++i) {
+    AppendFrame(&burst, FrameType::kGetKey, GetKeyPayload(1 + i % 64));
+  }
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  for (int i = 0; i < kFrames; ++i) {
+    auto f = client.RecvFrame(30.0);
+    ASSERT_TRUE(f.ok()) << "frame " << i << ": " << f.status().ToString();
+    ASSERT_EQ(f->type, FrameType::kResponse) << "frame " << i;
+    WireResponse r;
+    ASSERT_TRUE(ParseResponse(f->payload, &r));
+    ASSERT_EQ(r.status_code, static_cast<uint8_t>(StatusCode::kOk));
+    ASSERT_EQ(r.row_count, 1u);
+    ASSERT_TRUE(HasRowWithKey(r.text, 1 + i % 64))
+        << "frame " << i << ": " << r.text;
+  }
+  EXPECT_EQ(h.server->protocol_errors(), 0u);
+  EXPECT_EQ(h.server->responses_sent(), static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(h.server->peak_parked_connections(), 0u);
+}
+
+// The principal's /24 is what the server observes, not what the Hello
+// claims: a client on a penalised subnet cannot step out of the subnet
+// penalty by naming another address.
+TEST(NetServerTest, HelloCannotChooseItsOwnSubnet) {
+  ReputationStore reputation;
+  TarpitServerOptions sopts;
+  sopts.reputation = &reputation;
+  sopts.accept_delay_seconds = 0.3;
+  sopts.accept_delay_threshold = 1.5;
+  ServerHarness h(0.0, 0.0, sopts);
+
+  // Another identity on 127.0.0.0/24 earned the subnet two signals:
+  // subnet factor 1.5^2 >= threshold, for every identity on it.
+  constexpr uint32_t kLoopback24 = 0x7F000000u;   // 127.0.0.0/24
+  constexpr uint32_t kClaimedIpv4 = 0x0A090901u;  // 10.9.9.1
+  for (int i = 0; i < 2; ++i) {
+    reputation.RecordSignal(/*identity=*/31337, kLoopback24,
+                            h.clock.NowSeconds(),
+                            ReputationSignal::kExternal);
+  }
+  const double now = h.clock.NowSeconds();
+  ASSERT_GE(reputation.PenaltyFactor(4242, kLoopback24, now), 1.5);
+  ASSERT_LT(reputation.PenaltyFactor(4242, kClaimedIpv4 & 0xFFFFFF00u, now),
+            1.5);
+
+  FrameClient spoofer;
+  ASSERT_TRUE(spoofer.Connect("127.0.0.1", h.server->port()).ok());
+  const double start = NowSecondsSteady();
+  ASSERT_TRUE(spoofer.Hello(/*identity=*/4242, kClaimedIpv4).ok());
+  EXPECT_GE(NowSecondsSteady() - start, 0.3);
+  EXPECT_EQ(h.server->accept_delays(), 1u);
 }
 
 // Satellite regression: shutdown with ~1k connections parked mid-stall
