@@ -6,8 +6,12 @@
 
 namespace tarpit {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven, one byte
-/// per step. Used for WAL record framing and page trailers: unlike the
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven with
+/// slicing-by-16: 16 bytes per step through 16 constant 256-entry
+/// tables (16 KiB), then one byte per step for the tail. Input bytes
+/// are read as little-endian words from any alignment, so the value is
+/// the same on every host and matches the classic bytewise CRC-32.
+/// Used for WAL record framing and page trailers: unlike the
 /// FNV-1a hash it replaces, CRC32 detects all burst errors up to 32
 /// bits, which is the failure shape of torn sector writes.
 ///

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -325,6 +326,71 @@ TEST(LogHistogramTest, BucketsAndOverflow) {
   EXPECT_EQ(h.BucketCount(3), 1);
   EXPECT_EQ(h.BucketLowerBound(0), 0.0);
   EXPECT_NEAR(h.BucketLowerBound(2), 10.0, 1e-9);
+}
+
+// ---------- Crc32 ----------
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320, init and xor-out
+// 0xFFFFFFFF): the definition every Crc32 kernel must reproduce.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ReferenceCrc32(reinterpret_cast<const unsigned char*>("123456789"),
+                           9),
+            0xCBF43926u);
+
+  // A page's usable prefix; these values are what earlier builds wrote
+  // into page trailers, so they pin the on-disk format.
+  std::vector<unsigned char> page(4092);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<unsigned char>((i * 7 + 3) & 0xFF);
+  }
+  EXPECT_EQ(Crc32(page.data(), page.size()), 0x23AE1A6Du);
+  std::vector<unsigned char> zeroes(4092, 0);
+  EXPECT_EQ(Crc32(zeroes.data(), zeroes.size()), 0x603B0489u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  // 4,092 + 15 bytes of varied content; every start offset 0-15 puts the
+  // 16-byte step on a different alignment.
+  std::vector<unsigned char> buf(4092 + 16);
+  Rng rng(16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4092);
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t n : lengths) {
+      const unsigned char* p = buf.data() + off;
+      ASSERT_EQ(Crc32(p, n), ReferenceCrc32(p, n))
+          << "offset " << off << " length " << n;
+      ASSERT_EQ(Crc32(p, n, 0x12345678u), ReferenceCrc32(p, n, 0x12345678u))
+          << "seeded, offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingAcrossTheSixteenByteStep) {
+  std::vector<unsigned char> buf(100);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 31 + 5);
+  }
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  // Split points on both sides of each 16-byte boundary.
+  for (size_t na = 0; na <= buf.size(); ++na) {
+    const uint32_t head = Crc32(buf.data(), na);
+    ASSERT_EQ(Crc32(buf.data() + na, buf.size() - na, head), whole)
+        << "split at " << na;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -92,6 +93,68 @@ TEST(DiskManagerTest, ChecksumDetectsCorruption) {
   Status st = dm2.ReadPage(0, out);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(dm2.checksum_failures(), 1u);
+}
+
+// Bit-at-a-time CRC-32, the bytewise definition earlier builds sealed
+// page trailers with.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(DiskManagerTest, PageSealedByBytewiseCrcStillVerifies) {
+  TempDir dir("disk-oldcrc");
+  const std::string path = dir.file("old.db");
+  unsigned char image[kPageSize];
+  for (size_t i = 0; i < kPageUsableSize; ++i) {
+    image[i] = static_cast<unsigned char>((i * 7 + 3) & 0xFF);
+  }
+  const uint32_t crc = ReferenceCrc32(image, kPageUsableSize);
+  std::memcpy(image + kPageUsableSize, &crc, sizeof(crc));
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(image), kPageSize);
+    ASSERT_TRUE(f.good());
+  }
+  DiskManager dm;
+  ASSERT_TRUE(dm.Open(path).ok());
+  char out[kPageSize];
+  ASSERT_TRUE(dm.ReadPage(0, out).ok());
+  EXPECT_EQ(std::memcmp(out, image, kPageUsableSize), 0);
+  EXPECT_EQ(dm.checksum_failures(), 0u);
+
+  // One flipped byte at offsets 0-15 (every lane of a 16-byte step) and
+  // 4,076-4,091 (the end of the last step and the 12-byte tail).
+  std::vector<size_t> offsets;
+  for (size_t i = 0; i < 16; ++i) offsets.push_back(i);
+  for (size_t i = kPageUsableSize - 16; i < kPageUsableSize; ++i) {
+    offsets.push_back(i);
+  }
+  uint64_t failures = 0;
+  for (size_t off : offsets) {
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(off));
+      const char flipped = static_cast<char>(image[off] ^ 0x01);
+      f.write(&flipped, 1);
+      ASSERT_TRUE(f.good());
+    }
+    Status st = dm.ReadPage(0, out);
+    EXPECT_TRUE(st.IsCorruption()) << "offset " << off << ": "
+                                   << st.ToString();
+    EXPECT_EQ(dm.checksum_failures(), ++failures) << "offset " << off;
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(off));
+      f.write(reinterpret_cast<const char*>(image + off), 1);
+      ASSERT_TRUE(f.good());
+    }
+  }
+  ASSERT_TRUE(dm.ReadPage(0, out).ok());
 }
 
 TEST(DiskManagerTest, ReadPastEndFails) {
