@@ -25,6 +25,9 @@
 //     replaying the identical submission order within 0.01% (the wheel
 //     changes WHERE a stall waits, never HOW MUCH is charged).
 //
+// Defense invariant: in the open-loop async run, no stall may complete
+// sooner after its submit than its charge ("served short: 0").
+//
 // Telemetry acceptance (ISSUE 4): the async run publishes into a
 // MetricRegistry; the tarpit_scheduler_parked gauge must be > 0 in a
 // mid-run snapshot, and the tarpit_delay_charged_ns{policy} histogram
@@ -223,15 +226,27 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
   return res;
 }
 
+struct OpenLoopStallResult {
+  bench::OpenLoopStats stats;
+  /// Callbacks that completed sooner after their submit than their
+  /// charge: the defense invariant says 0.
+  size_t served_short = 0;
+  /// Completion minus submit minus charge, per request.
+  double late_p50_us = 0, late_p99_us = 0;
+};
+
 /// Open-loop (coordinated-omission-free) stall fidelity: one submitter
 /// fires GetByKeyAsync on a fixed exponential schedule and each
 /// request's latency is completion time minus the INTENDED send time.
 /// With stalls served for real, p50 ~ the charged stall; the tail
-/// exposes wheel-tick granularity, dispatcher queueing, and any
-/// submit-side stall the closed-loop runs above would silently absorb.
-bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
-                                      double mean_interarrival_us) {
-  bench::OpenLoopStats stats;
+/// exposes driver wake-up and dispatcher queueing, and any submit-side
+/// stall the closed-loop runs above would silently absorb. Each submit
+/// is also stamped in nanoseconds, so every stall's lateness past its
+/// charge is measured and a stall served short is counted.
+OpenLoopStallResult RunOpenLoopAsync(const fs::path& dir, int ops,
+                                     double mean_interarrival_us) {
+  OpenLoopStallResult out;
+  bench::OpenLoopStats& stats = out.stats;
   bench::MeasureHarnessFloor(/*threads=*/1, mean_interarrival_us, &stats);
   RealClock clock;
   auto db = OpenDb(dir, &clock, /*async_stalls=*/true, nullptr);
@@ -249,6 +264,8 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
   }
 
   std::vector<int64_t> lat(seq.size(), 0);
+  std::vector<int64_t> submit_ns(seq.size(), 0);
+  std::vector<int64_t> late_ns(seq.size(), 0);
   std::mutex mu;
   std::condition_variable cv;
   size_t completed = 0;
@@ -256,11 +273,16 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
   const int64_t t0 = bench::OpenLoopNowMicros();
   for (size_t i = 0; i < seq.size(); ++i) {
     bench::WaitUntilNanos(intended[i] * 1000);
+    submit_ns[i] = bench::OpenLoopNowNanos();
     db->GetByKeyAsync(seq[i], [&, i](Result<ProtectedResult> r) {
       if (!r.ok()) std::abort();
-      const int64_t now = bench::OpenLoopNowMicros();
+      const int64_t done_ns = bench::OpenLoopNowNanos();
+      const int64_t elapsed_ns = done_ns - submit_ns[i];
+      const double charge_ns = r->delay_seconds * 1e9;
       std::lock_guard<std::mutex> lock(mu);
-      lat[i] = now - intended[i];
+      lat[i] = done_ns / 1000 - intended[i];
+      late_ns[i] = elapsed_ns - static_cast<int64_t>(std::ceil(charge_ns));
+      if (static_cast<double>(elapsed_ns) < charge_ns) ++out.served_short;
       if (++completed == seq.size()) cv.notify_all();
     });
   }
@@ -279,7 +301,10 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
   stats.p999_us = bench::PercentileUs(lat, 0.999);
   stats.achieved_qps =
       t1 > t0 ? static_cast<double>(lat.size()) / ((t1 - t0) / 1e6) : 0;
-  return stats;
+  std::sort(late_ns.begin(), late_ns.end());
+  out.late_p50_us = bench::PercentileUs(late_ns, 0.50) / 1000.0;
+  out.late_p99_us = bench::PercentileUs(late_ns, 0.99) / 1000.0;
+  return out;
 }
 
 /// Serial oracle: one CountTracker replaying the async submission order
@@ -415,12 +440,20 @@ int main() {
 
   // Open-loop stall fidelity (CO-free, informational): latency from
   // the intended exponential send time through real served stalls.
-  const bench::OpenLoopStats ol = RunOpenLoopAsync(
+  const OpenLoopStallResult olr = RunOpenLoopAsync(
       base / "openloop", tiny ? 400 : 2000, tiny ? 1000.0 : 500.0);
+  const bench::OpenLoopStats& ol = olr.stats;
   std::printf("open-loop async stalls: p50 %.0fus p99 %.0fus p999 "
               "%.0fus, achieved %.0f qps\n",
               ol.p50_us, ol.p99_us, ol.p999_us, ol.achieved_qps);
   const bool floor_pass = bench::HarnessFloorOk(ol);
+  // The defense invariant, in the production async path: no stall
+  // completes sooner after its submit than its charge.
+  const bool short_pass = olr.served_short == 0;
+  std::printf("served short: %zu (target 0) %s; lateness past the "
+              "charge p50 %.1fus p99 %.1fus\n",
+              olr.served_short, short_pass ? "PASS" : "FAIL",
+              olr.late_p50_us, olr.late_p99_us);
 
   if (const char* json_path = std::getenv("TARPIT_BENCH_JSON")) {
     if (json_path[0] != '\0') {
@@ -448,6 +481,10 @@ int main() {
             "  \"median_pass\": %s,\n"
             "  \"parked_gauge_midrun\": %lld,\n"
             "  \"gauge_pass\": %s,\n"
+            "  \"served_short\": %zu,\n"
+            "  \"served_short_pass\": %s,\n"
+            "  \"stall_late_p50_us\": %.1f,\n"
+            "  \"stall_late_p99_us\": %.1f,\n"
             "%s"
             "  \"registry\": %s\n"
             "}\n",
@@ -460,8 +497,9 @@ int main() {
             hist_median_ns, median_drift,
             median_pass ? "true" : "false",
             static_cast<long long>(async_r.parked_gauge_midrun),
-            gauge_pass ? "true" : "false",
-            bench::OpenLoopJsonFields(ol).c_str(),
+            gauge_pass ? "true" : "false", olr.served_short,
+            short_pass ? "true" : "false", olr.late_p50_us,
+            olr.late_p99_us, bench::OpenLoopJsonFields(ol).c_str(),
             obs::ToJson(registry_snap).c_str());
         std::fclose(f);
         std::printf("json written to %s\n", json_path);
@@ -471,7 +509,7 @@ int main() {
 
   fs::remove_all(base);
   return (ratio_pass && drift_pass && median_pass && gauge_pass &&
-          floor_pass)
+          floor_pass && short_pass)
              ? 0
              : 1;
 }

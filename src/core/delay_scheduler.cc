@@ -1,19 +1,26 @@
 #include "core/delay_scheduler.h"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 namespace tarpit {
 
 namespace {
 
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
 /// Min-heap on deadline (std::*_heap builds a max-heap, so invert).
 struct DeadlineGreater {
   template <typename E>
   bool operator()(const E* a, const E* b) const {
-    return a->deadline_tick > b->deadline_tick;
+    return a->deadline_micros > b->deadline_micros;
   }
 };
 
@@ -44,6 +51,7 @@ DelayScheduler::DelayScheduler(Clock* clock, DelaySchedulerOptions options)
     m_cascades_ = m->GetCounter("tarpit_scheduler_cascades_total");
     m_overflow_promotions_ =
         m->GetCounter("tarpit_scheduler_overflow_promotions_total");
+    m_driver_wakes_ = m->GetCounter("tarpit_scheduler_driver_wakes_total");
     m_parked_ = m->GetGauge("tarpit_scheduler_parked");
     m_parked_peak_ = m->GetGauge("tarpit_scheduler_parked_peak");
     m_queue_depth_ =
@@ -58,6 +66,7 @@ DelayScheduler::DelayScheduler(Clock* clock, DelaySchedulerOptions options)
 
   wheel_.assign(options_.levels,
                 std::vector<Entry*>(slots_per_level_, nullptr));
+  level0_earliest_.assign(slots_per_level_, kNever);
   dispatchers_.reserve(options_.num_dispatchers);
   for (size_t i = 0; i < options_.num_dispatchers; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });
@@ -108,25 +117,21 @@ TimerId DelayScheduler::Submit(double delay_seconds, Callback done,
       e->group = group;
       e->done = std::move(done);
       e->submit_micros = clock_->NowMicros();
-      // Round the expiry UP to the next tick so a stall is never
-      // served short.
-      e->deadline_tick =
-          (e->submit_micros + delay_us + tick_micros_ - 1) /
-          tick_micros_;
-      std::vector<Entry*> expired;
-      InsertLocked(e, &expired);
-      if (expired.empty()) {
-        entries_.emplace(id, e);
-        peak_parked_ = std::max(peak_parked_, entries_.size());
-        if (m_parked_ != nullptr) {
-          m_parked_->Set(static_cast<int64_t>(entries_.size()));
-          m_parked_peak_->Set(static_cast<int64_t>(peak_parked_));
-        }
-        // Wake the driver in case this deadline is earlier than what
-        // it is sleeping toward.
+      // NowMicros truncates, so the submit instant may lie up to 1 us
+      // past submit_micros: the +1 keeps the stall from being served
+      // short by that fraction.
+      e->deadline_micros = e->submit_micros + delay_us + 1;
+      e->deadline_tick = TickOf(e->deadline_micros);
+      InsertLocked(e);
+      entries_.emplace(id, e);
+      peak_parked_ = std::max(peak_parked_, entries_.size());
+      if (m_parked_ != nullptr) {
+        m_parked_->Set(static_cast<int64_t>(entries_.size()));
+        m_parked_peak_->Set(static_cast<int64_t>(peak_parked_));
+      }
+      if (e->deadline_micros < driver_wake_micros_) {
+        driver_wake_micros_ = e->deadline_micros;
         timer_cv_.notify_one();
-      } else {
-        CompleteLocked(&expired, /*cancelled=*/false);
       }
       return id;
     }
@@ -261,11 +266,12 @@ uint64_t DelayScheduler::overflow_promotions() const {
 
 // --- Wheel mechanics (mu_ held). -----------------------------------------
 
-void DelayScheduler::InsertLocked(Entry* e, std::vector<Entry*>* expired) {
+void DelayScheduler::InsertLocked(Entry* e) {
   const int64_t delta = e->deadline_tick - current_tick_;
   if (delta <= 0) {
-    e->level = -1;
-    expired->push_back(e);
+    // Due now or within the current tick: the driver pops it from the
+    // sorted head once NowMicros() reaches its deadline.
+    InsertCurrentTickLocked(e);
     return;
   }
   if (delta >= span_ticks_) {
@@ -286,10 +292,55 @@ void DelayScheduler::InsertLocked(Entry* e, std::vector<Entry*>* expired) {
       e->next = wheel_[level][slot];
       if (e->next != nullptr) e->next->prev = e;
       wheel_[level][slot] = e;
+      if (level == 0) {
+        level0_earliest_[slot] =
+            std::min(level0_earliest_[slot], e->deadline_micros);
+      }
       return;
     }
   }
   assert(false && "delta < span_ticks_ must land in some level");
+}
+
+void DelayScheduler::InsertCurrentTickLocked(Entry* e) {
+  const size_t slot = CurrentSlot();
+  Entry* prev = nullptr;
+  Entry* next = wheel_[0][slot];
+  while (next != nullptr && next->deadline_micros <= e->deadline_micros) {
+    prev = next;
+    next = next->next;
+  }
+  e->level = 0;
+  e->slot = slot;
+  e->prev = prev;
+  e->next = next;
+  if (next != nullptr) next->prev = e;
+  if (prev != nullptr) {
+    prev->next = e;
+  } else {
+    wheel_[0][slot] = e;
+  }
+}
+
+void DelayScheduler::SortCurrentTickLocked() {
+  const size_t slot = CurrentSlot();
+  level0_earliest_[slot] = kNever;  // The sorted head takes over.
+  Entry* node = wheel_[0][slot];
+  if (node == nullptr || node->next == nullptr) return;
+  sort_buf_.clear();
+  for (; node != nullptr; node = node->next) sort_buf_.push_back(node);
+  std::sort(sort_buf_.begin(), sort_buf_.end(),
+            [](const Entry* a, const Entry* b) {
+              return a->deadline_micros < b->deadline_micros;
+            });
+  Entry* prev = nullptr;
+  for (Entry* e : sort_buf_) {
+    e->prev = prev;
+    e->next = nullptr;
+    if (prev != nullptr) prev->next = e;
+    prev = e;
+  }
+  wheel_[0][slot] = sort_buf_.front();
 }
 
 void DelayScheduler::UnlinkLocked(Entry* e) {
@@ -298,6 +349,9 @@ void DelayScheduler::UnlinkLocked(Entry* e) {
     e->prev->next = e->next;
   } else {
     wheel_[e->level][e->slot] = e->next;
+    if (e->level == 0 && e->next == nullptr) {
+      level0_earliest_[e->slot] = kNever;
+    }
   }
   if (e->next != nullptr) e->next->prev = e->prev;
   e->prev = nullptr;
@@ -305,8 +359,7 @@ void DelayScheduler::UnlinkLocked(Entry* e) {
   e->level = -1;
 }
 
-void DelayScheduler::CascadeLocked(size_t level,
-                                   std::vector<Entry*>* expired) {
+void DelayScheduler::CascadeLocked(size_t level) {
   if (level >= options_.levels) return;
   const size_t idx =
       static_cast<size_t>(current_tick_ >> (options_.wheel_bits * level)) &
@@ -314,7 +367,7 @@ void DelayScheduler::CascadeLocked(size_t level,
   // If this level's cursor also just wrapped, the level above owes us
   // its slot first (its entries re-file into this level's slots,
   // possibly including `idx`).
-  if (idx == 0) CascadeLocked(level + 1, expired);
+  if (idx == 0) CascadeLocked(level + 1);
   Entry* node = wheel_[level][idx];
   if (node == nullptr) return;
   wheel_[level][idx] = nullptr;
@@ -325,12 +378,12 @@ void DelayScheduler::CascadeLocked(size_t level,
     node->prev = nullptr;
     node->next = nullptr;
     node->level = -1;
-    InsertLocked(node, expired);
+    InsertLocked(node);
     node = next;
   }
 }
 
-void DelayScheduler::PromoteOverflowLocked(std::vector<Entry*>* expired) {
+void DelayScheduler::PromoteOverflowLocked() {
   while (!overflow_.empty() &&
          overflow_.front()->deadline_tick - current_tick_ < span_ticks_) {
     std::pop_heap(overflow_.begin(), overflow_.end(), DeadlineGreater{});
@@ -340,7 +393,7 @@ void DelayScheduler::PromoteOverflowLocked(std::vector<Entry*>* expired) {
     if (m_overflow_promotions_ != nullptr) {
       m_overflow_promotions_->Increment();
     }
-    InsertLocked(e, expired);
+    InsertLocked(e);
   }
 }
 
@@ -348,21 +401,10 @@ void DelayScheduler::AdvanceToLocked(int64_t now_micros,
                                      std::vector<Entry*>* expired) {
   const int64_t target = TickOf(now_micros);
   while (current_tick_ < target) {
-    // Fast-forward across empty space: nothing expires or cascades
-    // before the next event tick, so don't iterate tick-by-tick
-    // through an idle hour.
-    const int64_t next_event = NextEventTickLocked();
-    if (next_event < 0 || next_event > target) {
-      current_tick_ = target;
-      break;
-    }
-    if (next_event > current_tick_ + 1) current_tick_ = next_event - 1;
-    ++current_tick_;
-    const size_t idx0 = static_cast<size_t>(current_tick_) & slot_mask_;
-    if (idx0 == 0) CascadeLocked(1, expired);
-    // Everything in the level-0 slot for this tick expires now.
-    Entry* node = wheel_[0][idx0];
-    wheel_[0][idx0] = nullptr;
+    // The tick being left lies wholly in the past: everything still
+    // filed in it is due.
+    Entry* node = wheel_[0][CurrentSlot()];
+    wheel_[0][CurrentSlot()] = nullptr;
     while (node != nullptr) {
       Entry* next = node->next;
       node->prev = nullptr;
@@ -371,23 +413,49 @@ void DelayScheduler::AdvanceToLocked(int64_t now_micros,
       expired->push_back(node);
       node = next;
     }
-    PromoteOverflowLocked(expired);
+    // Fast-forward across empty space: nothing expires or cascades
+    // before the next event, so don't iterate tick-by-tick through an
+    // idle hour.
+    const int64_t next_event = NextEventMicrosLocked();
+    const int64_t next_tick = next_event < 0 ? -1 : TickOf(next_event);
+    if (next_tick < 0 || next_tick > target) {
+      current_tick_ = target;
+      break;
+    }
+    if (next_tick > current_tick_ + 1) current_tick_ = next_tick - 1;
+    ++current_tick_;
+    // Enter the tick: order what was filed into it, then add what the
+    // cascade and the overflow heap bring in at their sorted places.
+    SortCurrentTickLocked();
+    if (CurrentSlot() == 0) CascadeLocked(1);
+    PromoteOverflowLocked();
   }
-  PromoteOverflowLocked(expired);
+  PromoteOverflowLocked();
+  // The current tick is sorted: its due entries form the head.
+  Entry* head;
+  while ((head = wheel_[0][CurrentSlot()]) != nullptr &&
+         head->deadline_micros <= now_micros) {
+    UnlinkLocked(head);
+    expired->push_back(head);
+  }
 }
 
-int64_t DelayScheduler::NextEventTickLocked() const {
+int64_t DelayScheduler::NextEventMicrosLocked() const {
+  // The current tick's head precedes everything filed in later ticks.
+  if (const Entry* head = wheel_[0][CurrentSlot()]) {
+    return head->deadline_micros;
+  }
   int64_t best = -1;
   auto consider = [&best](int64_t t) {
     if (best < 0 || t < best) best = t;
   };
-  // Level 0 slots hold exact expiry ticks in (current, current+slots].
-  for (size_t off = 1; off <= slots_per_level_; ++off) {
+  // The other level-0 slots hold ticks in (current, current+slots).
+  for (size_t off = 1; off < slots_per_level_; ++off) {
     const size_t idx =
         static_cast<size_t>(current_tick_ + static_cast<int64_t>(off)) &
         slot_mask_;
     if (wheel_[0][idx] != nullptr) {
-      consider(current_tick_ + static_cast<int64_t>(off));
+      consider(level0_earliest_[idx]);
       break;
     }
   }
@@ -401,13 +469,13 @@ int64_t DelayScheduler::NextEventTickLocked() const {
           static_cast<size_t>(base + static_cast<int64_t>(off)) &
           slot_mask_;
       if (wheel_[level][idx] != nullptr) {
-        consider((base + static_cast<int64_t>(off))
-                 << (bits * level));
+        consider(((base + static_cast<int64_t>(off)) << (bits * level)) *
+                 tick_micros_);
         break;
       }
     }
   }
-  if (!overflow_.empty()) consider(overflow_.front()->deadline_tick);
+  if (!overflow_.empty()) consider(overflow_.front()->deadline_micros);
   return best;
 }
 
@@ -429,10 +497,10 @@ void DelayScheduler::CompleteLocked(std::vector<Entry*>* entries,
       m_park_micros_->Record(
           std::max<int64_t>(0, now_micros - e->submit_micros));
       if (!cancelled) {
-        // How late past its rounded-up deadline the stall actually
-        // fired: driver wakeup jitter plus cascade batching.
-        m_dispatch_lag_micros_->Record(std::max<int64_t>(
-            0, now_micros - e->deadline_tick * tick_micros_));
+        // How late past its exact deadline the stall actually fired:
+        // driver wake-up jitter.
+        m_dispatch_lag_micros_->Record(
+            std::max<int64_t>(0, now_micros - e->deadline_micros));
       }
     }
     ready_.push_back(Completion{std::move(e->done), cancelled});
@@ -455,22 +523,28 @@ void DelayScheduler::CompleteLocked(std::vector<Entry*>* entries,
 // --- Threads. ------------------------------------------------------------
 
 void DelayScheduler::DriverLoop() {
+#if defined(__linux__)
+  // Timed waits end within ~1 ns of the deadline instead of the
+  // default 50 us timer slack.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   std::unique_lock<std::mutex> lock(mu_);
+  std::vector<Entry*> expired;
   while (!stop_) {
-    const int64_t next_tick = NextEventTickLocked();
-    if (next_tick < 0) {
-      timer_cv_.wait(lock);
-      continue;
-    }
-    const int64_t now = clock_->NowMicros();
-    const int64_t due = next_tick * tick_micros_;
-    if (now < due) {
-      timer_cv_.wait_for(lock, std::chrono::microseconds(due - now));
-      continue;  // Re-evaluate: submit/cancel/stop may have changed things.
-    }
-    std::vector<Entry*> expired;
-    AdvanceToLocked(now, &expired);
+    AdvanceToLocked(clock_->NowMicros(), &expired);
     CompleteLocked(&expired, /*cancelled=*/false);
+    const int64_t next = NextEventMicrosLocked();
+    if (next < 0) {
+      driver_wake_micros_ = kNever;
+      timer_cv_.wait(lock);
+    } else {
+      const int64_t wait = next - clock_->NowMicros();
+      if (wait <= 0) continue;
+      driver_wake_micros_ = next;
+      timer_cv_.wait_for(lock, std::chrono::microseconds(wait));
+    }
+    // Re-evaluate: time passed, or submit/cancel/stop changed things.
+    if (m_driver_wakes_ != nullptr) m_driver_wakes_->Increment();
   }
 }
 

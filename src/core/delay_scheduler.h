@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -29,9 +30,10 @@ struct DelaySchedulerOptions {
   /// -- the whole point of the scheduler is that parked requests cost
   /// a wheel entry, not a thread.
   size_t num_dispatchers = 4;
-  /// Wheel resolution. Expiries are rounded UP to the next tick, so a
-  /// stall is never served short (the defense invariant); it may run
-  /// up to one tick long.
+  /// Wheel resolution: the tick decides which slot files an entry, not
+  /// when it fires. Every stall fires at its own microsecond deadline,
+  /// so the tick bounds neither lateness nor shortness; it sets the
+  /// horizon below and how many stalls share a slot.
   int64_t tick_micros = 1000;
   /// log2 of slots per wheel level.
   size_t wheel_bits = 8;
@@ -41,10 +43,10 @@ struct DelaySchedulerOptions {
   /// in an overflow min-heap and are promoted onto the wheel when they
   /// come within range.
   size_t levels = 3;
-  /// When non-null, the scheduler publishes wheel occupancy, cascade
-  /// and overflow-promotion counts, completion-queue depth, and park /
-  /// dispatch-lag latency histograms here (names are listed in
-  /// docs/INTERNALS.md). Must outlive the scheduler.
+  /// When non-null, the scheduler publishes wheel occupancy, cascade,
+  /// overflow-promotion and driver wake-up counts, completion-queue
+  /// depth, and park / dispatch-lag latency histograms here (names are
+  /// listed in docs/INTERNALS.md). Must outlive the scheduler.
   obs::MetricRegistry* metrics = nullptr;
 };
 
@@ -89,13 +91,15 @@ class DelayScheduler {
   DelayScheduler(const DelayScheduler&) = delete;
   DelayScheduler& operator=(const DelayScheduler&) = delete;
 
-  /// Parks `done` for `delay_seconds` (rounded up to a tick, so any
-  /// positive delay waits at least one tick). On a real clock a zero
-  /// or negative delay runs `done(false)` on the calling thread before
-  /// Submit returns, outside the scheduler lock: the callback may
-  /// re-enter Submit/Cancel/CancelGroup, but a caller must not hold a
-  /// lock across Submit that its callback takes. Under a virtual clock
-  /// every submission fires through the completion queue in
+  /// Parks `done` for `delay_seconds`, rounded up to whole
+  /// microseconds. It fires at the first microsecond reading past
+  /// submit + delay, so it waits at least its own length (never short),
+  /// and any positive delay completes on a dispatcher. On a real clock
+  /// a zero or negative delay runs `done(false)` on the calling thread
+  /// before Submit returns, outside the scheduler lock: the callback
+  /// may re-enter Submit/Cancel/CancelGroup, but a caller must not
+  /// hold a lock across Submit that its callback takes. Under a virtual
+  /// clock every submission fires through the completion queue in
   /// submission order. After shutdown the callback fires inline with
   /// cancelled=true and the returned id is 0.
   TimerId Submit(double delay_seconds, Callback done, StallGroup group = 0);
@@ -134,8 +138,11 @@ class DelayScheduler {
   struct Entry {
     TimerId id = 0;
     StallGroup group = 0;
-    int64_t deadline_tick = 0;
     int64_t submit_micros = 0;
+    /// Fires once NowMicros() >= deadline_micros.
+    int64_t deadline_micros = 0;
+    /// deadline_micros / tick_micros: where the entry is filed.
+    int64_t deadline_tick = 0;
     Callback done;
     // Intrusive wheel-slot list links + location (for O(1) unlink).
     Entry* prev = nullptr;
@@ -149,15 +156,24 @@ class DelayScheduler {
   };
 
   int64_t TickOf(int64_t micros) const { return micros / tick_micros_; }
+  size_t CurrentSlot() const {
+    return static_cast<size_t>(current_tick_) & slot_mask_;
+  }
 
   // All *Locked methods require mu_.
-  void InsertLocked(Entry* e, std::vector<Entry*>* expired);
+  void InsertLocked(Entry* e);
+  /// Links `e` into the current tick's slot, keeping it in deadline
+  /// order.
+  void InsertCurrentTickLocked(Entry* e);
+  /// Orders the current tick's slot by deadline; once per entered tick.
+  void SortCurrentTickLocked();
   void UnlinkLocked(Entry* e);
-  void CascadeLocked(size_t level, std::vector<Entry*>* expired);
+  void CascadeLocked(size_t level);
   void AdvanceToLocked(int64_t now_micros, std::vector<Entry*>* expired);
-  void PromoteOverflowLocked(std::vector<Entry*>* expired);
-  /// Earliest tick at which anything can expire or cascade, or -1.
-  int64_t NextEventTickLocked() const;
+  void PromoteOverflowLocked();
+  /// Earliest instant (micros) at which anything can expire, cascade
+  /// or be promoted, or -1 when nothing is parked.
+  int64_t NextEventMicrosLocked() const;
   /// Moves entries to the completion queue (deletes them) and wakes
   /// dispatchers.
   void CompleteLocked(std::vector<Entry*>* entries, bool cancelled);
@@ -182,10 +198,20 @@ class DelayScheduler {
   bool stop_ = false;
   bool joined_ = false;
   TimerId next_id_ = 1;
+  // The tick the driver has entered. Its level-0 slot is kept sorted by
+  // deadline, so the driver pops due entries from the head.
   int64_t current_tick_ = 0;
   // wheel_[level][slot]: head of an intrusive doubly-linked list.
   std::vector<std::vector<Entry*>> wheel_;
-  // Min-heap on deadline_tick (std::push_heap with greater-than).
+  // Per level-0 slot (other than the current tick's): a lower bound on
+  // its earliest deadline, never below the slot's tick. A cancel may
+  // leave it early; that costs one early wake, which enters the tick.
+  std::vector<int64_t> level0_earliest_;
+  // The instant the driver is sleeping toward; Submit wakes it only
+  // for an earlier deadline.
+  int64_t driver_wake_micros_ = std::numeric_limits<int64_t>::max();
+  std::vector<Entry*> sort_buf_;
+  // Min-heap on deadline_micros (std::push_heap with greater-than).
   std::vector<Entry*> overflow_;
   std::unordered_map<TimerId, Entry*> entries_;
   std::deque<Completion> ready_;
@@ -204,6 +230,7 @@ class DelayScheduler {
   obs::Counter* m_cancelled_ = nullptr;
   obs::Counter* m_cascades_ = nullptr;
   obs::Counter* m_overflow_promotions_ = nullptr;
+  obs::Counter* m_driver_wakes_ = nullptr;
   obs::Gauge* m_parked_ = nullptr;
   obs::Gauge* m_parked_peak_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;

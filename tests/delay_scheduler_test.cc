@@ -1,19 +1,25 @@
 // Edge-case tests for the DelayScheduler timer wheel: zero-delay
 // immediate fire (inline on the submitting thread, re-entrant, covered
-// by Drain), the one-tick floor for any positive delay, overflow-heap promotion (the "multi-hour stall"
-// path, exercised through a deliberately tiny wheel geometry),
-// cancellation racing the cascade, virtual-clock instant-fire
-// ordering, group cancellation, and the drain/shutdown protocol.
+// by Drain), firing at each stall's own microsecond deadline (never
+// short, not rounded to the next tick, and without waking the driver
+// for later deadlines), overflow-heap promotion (the "multi-hour
+// stall" path, exercised through a deliberately tiny wheel geometry),
+// cancellation racing the cascade and a same-tick crowd, virtual-clock
+// instant-fire ordering, group cancellation, and the drain/shutdown
+// protocol.
 //
 // Labeled "concurrency" in tests/CMakeLists.txt: the cancellation and
 // drain cases are multi-threaded and are primary TSan targets.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,6 +49,62 @@ void WaitFor(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   FAIL() << "condition not reached within 10s";
+}
+
+int64_t NowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Submits one stall per entry of `delays_ns`, then from `cancel_from_ns`
+/// (steady_clock) on cancels every other one from two threads while the
+/// driver cascades and fires the rest underneath them. Every callback
+/// must fire exactly once, and no stall that fired uncancelled may have
+/// been short.
+void RaceCancellation(DelayScheduler* sched,
+                      const std::vector<int64_t>& delays_ns,
+                      int64_t cancel_from_ns) {
+  const int n = static_cast<int>(delays_ns.size());
+  struct Stall {
+    std::atomic<int> calls{0};
+    std::atomic<bool> cancelled{false};
+    std::atomic<int64_t> elapsed_ns{0};
+    int64_t submit_ns = 0;
+  };
+  std::vector<Stall> stalls(n);
+  std::vector<TimerId> ids(n);
+  for (int i = 0; i < n; ++i) {
+    stalls[i].submit_ns = NowNanos();
+    ids[i] = sched->Submit(delays_ns[i] / 1e9, [&, i](bool cancelled) {
+      stalls[i].elapsed_ns = NowNanos() - stalls[i].submit_ns;
+      stalls[i].cancelled = cancelled;
+      ++stalls[i].calls;
+    });
+  }
+  std::atomic<size_t> cancel_hits{0};
+  std::thread cancellers[2];
+  for (int t = 0; t < 2; ++t) {
+    cancellers[t] = std::thread([&, t] {
+      std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+          std::chrono::nanoseconds(cancel_from_ns)));
+      for (int i = t; i < n; i += 4) {  // Each thread: every 4th entry.
+        if (sched->Cancel(ids[i])) ++cancel_hits;
+      }
+    });
+  }
+  for (auto& th : cancellers) th.join();
+  sched->Drain();
+
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(stalls[i].calls.load(), 1) << "entry " << i;
+    if (!stalls[i].cancelled) {
+      EXPECT_GE(stalls[i].elapsed_ns.load(), delays_ns[i]) << "entry " << i;
+    }
+  }
+  EXPECT_EQ(sched->fired_total() + sched->cancelled_total(),
+            static_cast<uint64_t>(n));
+  EXPECT_EQ(sched->cancelled_total(), cancel_hits.load());
 }
 
 TEST(DelaySchedulerTest, ZeroDelayFiresImmediatelyInOrder) {
@@ -80,23 +142,110 @@ TEST(DelaySchedulerTest, NegativeDelayBehavesLikeZero) {
   EXPECT_EQ(fired.load(), 1);
 }
 
+// The defense invariant, at nanosecond resolution and with no
+// tolerance, for delays that end mid-tick and mid-microsecond.
 TEST(DelaySchedulerTest, StallIsNeverServedShort) {
   RealClock clock;
   DelaySchedulerOptions opts;
   opts.tick_micros = 1000;
   DelayScheduler sched(&clock, opts);
 
-  const double delay = 0.020;  // 20 ms.
-  const int64_t start = clock.NowMicros();
-  std::atomic<int64_t> fired_at{0};
-  sched.Submit(delay, [&](bool cancelled) {
-    EXPECT_FALSE(cancelled);
-    fired_at = clock.NowMicros();
-  });
+  const int64_t delays_ns[] = {1'000, 999'000, 1'000'500, 20'000'500,
+                               20'999'900};
+  constexpr int kN = sizeof(delays_ns) / sizeof(delays_ns[0]);
+  std::atomic<int64_t> elapsed_ns[kN];
+  for (int i = 0; i < kN; ++i) {
+    elapsed_ns[i] = 0;
+    const int64_t submit_ns = NowNanos();
+    sched.Submit(delays_ns[i] / 1e9, [&, i, submit_ns](bool cancelled) {
+      EXPECT_FALSE(cancelled);
+      elapsed_ns[i] = NowNanos() - submit_ns;
+    });
+  }
   sched.Drain();
-  ASSERT_GT(fired_at.load(), 0);
-  // Rounded UP to a tick: the defense invariant is "never early".
-  EXPECT_GE(fired_at.load() - start, static_cast<int64_t>(delay * 1e6));
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_GE(elapsed_ns[i].load(), delays_ns[i]) << "delay " << delays_ns[i];
+  }
+}
+
+// A stall fires at its own deadline, not at the tick boundary after it.
+// Each 20.5 ms stall is submitted at a tick boundary, so its deadline
+// lies half a tick before the next boundary: a scheduler that rounds
+// deadlines up to the tick serves every one of them ~500 us late.
+//
+// A host that deschedules the process for milliseconds makes every
+// stall due meanwhile late, and can push a round's median over the bar
+// (about one run in 200 on a shared 4-vCPU VM). Such noise only ever
+// adds lateness, so the test takes the best of up to three rounds: a
+// scheduler that rounds up to the tick fails every round.
+TEST(DelaySchedulerTest, StallFiresAtItsDeadlineNotTheNextTick) {
+  RealClock clock;
+  DelaySchedulerOptions opts;
+  opts.tick_micros = 1000;
+  DelayScheduler sched(&clock, opts);
+
+  constexpr int kStalls = 21;
+  constexpr int64_t kDelayNs = 20'500'000;
+  constexpr int64_t kMaxMedianNs = 400'000;
+  std::string rounds;
+  int64_t best_median = std::numeric_limits<int64_t>::max();
+  for (int round = 0; round < 3 && best_median >= kMaxMedianNs; ++round) {
+    std::vector<std::atomic<int64_t>> late_ns(kStalls);
+    for (int i = 0; i < kStalls; ++i) {
+      const int64_t boundary_us =
+          (clock.NowMicros() / opts.tick_micros + 1) * opts.tick_micros;
+      std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+          std::chrono::microseconds(boundary_us)));
+      const int64_t submit_ns = NowNanos();
+      sched.Submit(kDelayNs / 1e9, [&, i, submit_ns](bool cancelled) {
+        EXPECT_FALSE(cancelled);
+        late_ns[i] = NowNanos() - submit_ns - kDelayNs;
+      });
+    }
+    sched.Drain();
+    std::vector<int64_t> late;
+    for (const auto& l : late_ns) {
+      EXPECT_GE(l.load(), 0);  // Never short.
+      late.push_back(l.load());
+    }
+    rounds += "\n  " + ::testing::PrintToString(late);
+    std::nth_element(late.begin(), late.begin() + kStalls / 2, late.end());
+    best_median = std::min(best_median, late[kStalls / 2]);
+  }
+  EXPECT_LT(best_median, kMaxMedianNs)
+      << "best median lateness (ns); each round's, in submit order:"
+      << rounds;
+}
+
+// Submit wakes the driver only for a deadline earlier than the one it
+// sleeps toward: 100 later stalls leave it asleep until the first
+// expiry.
+TEST(DelaySchedulerTest, LaterDeadlineDoesNotWakeTheDriver) {
+  RealClock clock;
+  obs::MetricRegistry registry;
+  DelaySchedulerOptions opts;
+  opts.metrics = &registry;
+  DelayScheduler sched(&clock, opts);
+  obs::Counter* wakes =
+      registry.GetCounter("tarpit_scheduler_driver_wakes_total");
+
+  std::promise<int64_t> wakes_at_expiry;
+  sched.Submit(0.200, [&](bool cancelled) {
+    EXPECT_FALSE(cancelled);
+    wakes_at_expiry.set_value(wakes->Value());
+  });
+  // Let the driver take the 200 ms deadline and go back to sleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const int64_t before = wakes->Value();
+  for (int i = 0; i < 100; ++i) {
+    sched.Submit(0.300 + 0.001 * i, [](bool) {});
+    // Spaced out, so a driver woken by every submit would count each.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_LE(wakes_at_expiry.get_future().get() - before, 2);
+  sched.Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
+  EXPECT_EQ(sched.fired_total(), 1u);
+  EXPECT_EQ(sched.cancelled_total(), 100u);
 }
 
 TEST(DelaySchedulerTest, BeyondHorizonGoesToOverflowAndPromotes) {
@@ -157,38 +306,36 @@ TEST(DelaySchedulerTest, CancellationRacesCascadeExactlyOnce) {
   DelayScheduler sched(&clock, opts);
 
   const int n = StressIters(400);
-  std::vector<std::unique_ptr<std::atomic<int>>> calls;
-  calls.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    calls.push_back(std::make_unique<std::atomic<int>>(0));
-  }
-  std::vector<TimerId> ids(n);
+  std::vector<int64_t> delays_ns(n);
   for (int i = 0; i < n; ++i) {
     // Delays 1..100 ms: every wheel level plus the overflow heap.
-    const double delay = 0.001 * (1 + i % 100);
-    ids[i] = sched.Submit(delay, [&, i](bool) { ++*calls[i]; });
+    delays_ns[i] = 1'000'000 * (1 + i % 100);
   }
-  // Two threads cancel every other entry while the wheel cascades and
-  // fires the rest underneath them.
-  std::atomic<size_t> cancel_hits{0};
-  std::thread cancellers[2];
-  for (int t = 0; t < 2; ++t) {
-    cancellers[t] = std::thread([&, t] {
-      for (int i = t; i < n; i += 4) {  // Each thread: every 4th entry.
-        if (sched.Cancel(ids[i])) ++cancel_hits;
-      }
-    });
-  }
-  for (auto& th : cancellers) th.join();
-  sched.Drain();
-
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(calls[i]->load(), 1) << "entry " << i;
-  }
-  EXPECT_EQ(sched.fired_total() + sched.cancelled_total(),
-            static_cast<uint64_t>(n));
-  EXPECT_EQ(sched.cancelled_total(), cancel_hits.load());
+  RaceCancellation(&sched, delays_ns, /*cancel_from_ns=*/0);
   EXPECT_GT(sched.cascades(), 0u);
+}
+
+// The same race against a crowd of distinct microsecond deadlines inside
+// one tick: the driver orders the tick once when it enters it and pops
+// due stalls from the head while cancels unlink others around them.
+TEST(DelaySchedulerTest, CancellationRacesSameTickCrowdExactlyOnce) {
+  RealClock clock;
+  DelaySchedulerOptions opts;
+  opts.tick_micros = 200'000;
+  DelayScheduler sched(&clock, opts);
+
+  const int n = std::max(StressIters(5000), 2);
+  // The crowd's deadlines start 40 ms into the tick after next, one
+  // microsecond apart; submission time only spreads them further. The
+  // cancels start 2 ms into the crowd, at the driver's firing frontier.
+  const int64_t now_us = clock.NowMicros();
+  const int64_t first_us =
+      (now_us / opts.tick_micros + 2) * opts.tick_micros + 40'000;
+  std::vector<int64_t> delays_ns(n);
+  for (int i = 0; i < n; ++i) delays_ns[i] = (first_us + i - now_us) * 1000;
+  RaceCancellation(&sched, delays_ns,
+                   /*cancel_from_ns=*/(first_us + 2'000) * 1000);
+  EXPECT_GT(sched.fired_total(), 0u);
 }
 
 TEST(DelaySchedulerTest, VirtualClockFiresInstantlyInSubmissionOrder) {
@@ -390,8 +537,8 @@ TEST(DelaySchedulerTest, DrainWaitsForInlineCallbackOnAnotherThread) {
 }
 
 // Any positive delay, however small, parks: it completes on a
-// dispatcher, never on the caller, and not before the next tick.
-TEST(DelaySchedulerTest, TinyPositiveDelayParksForAtLeastOneTick) {
+// dispatcher, never on the caller, and no sooner than 1 us later.
+TEST(DelaySchedulerTest, TinyPositiveDelayParksOnADispatcher) {
   RealClock clock;
   DelaySchedulerOptions opts;
   opts.tick_micros = 1000;
@@ -406,7 +553,6 @@ TEST(DelaySchedulerTest, TinyPositiveDelayParksForAtLeastOneTick) {
   const auto [fired_on, fired_at] = fired.get_future().get();
   EXPECT_NE(fired_on, std::this_thread::get_id());
   EXPECT_GE(fired_at - start, 1);  // 1e-9 s rounds up to 1 us.
-  EXPECT_GT(fired_at / opts.tick_micros, start / opts.tick_micros);
   sched.Drain();
   EXPECT_EQ(sched.fired_total(), 1u);
 }
