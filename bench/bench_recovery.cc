@@ -328,7 +328,7 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   // The flood: one identity walking distinct tuples (extraction-shaped
   // breadth) with async queries that all want a wheel slot. Sheds
   // complete inline on this thread; admitted stalls complete on the
-  // wheel's dispatchers ~0.4s later.
+  // wheel's driver ~0.4s later.
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> shed{0};
   const uint64_t before_charges = (*pdb)->Metrics().delays_charged;

@@ -213,8 +213,8 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
 ConcurrentProtectedDatabase::~ConcurrentProtectedDatabase() {
   // Drain the wheel first: parked stalls complete with
   // Status::Cancelled (their callbacks only capture result copies, so
-  // this is safe regardless of inner_'s state) and the dispatcher
-  // threads join before anything else is torn down.
+  // this is safe regardless of inner_'s state) and the driver thread
+  // joins before anything else is torn down.
   if (scheduler_ != nullptr) {
     scheduler_->Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
   }
@@ -350,7 +350,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::FinishBlocking(
   // in-flight stall for THIS caller (that is what blocking means), with
   // the same admission, serving, accounting and cancellation as the
   // async entry points. `done` runs before FinishAsync returns when the
-  // request completes inline, else on a dispatcher thread; either way
+  // request completes inline, else on the scheduler's driver; either way
   // it is the last touch of `w`, so the waiter can live on this stack.
   struct Waiter {
     std::mutex m;

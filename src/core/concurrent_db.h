@@ -84,7 +84,7 @@ struct ConcurrentDatabaseOptions {
   /// scale with the read side, not the (single-leader) write side.
   size_t version_store_stripes = 64;
   /// Async stall scheduling: stalls park on a DelayScheduler (timer
-  /// wheel + dispatcher pool) instead of blocking the calling thread,
+  /// wheel + one driver thread) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
   /// concurrently-stalled sessions. The *Async entry points complete
   /// via callback on stall expiry. Off by default: the stall is slept
@@ -92,7 +92,7 @@ struct ConcurrentDatabaseOptions {
   /// complete there once it has passed. Blocking GetByKey/ExecuteSql
   /// wait on the same completion either way.
   bool async_stalls = false;
-  /// Wheel geometry and dispatcher pool used when async_stalls is on.
+  /// Wheel geometry used when async_stalls is on.
   /// With a VirtualClock the wheel fires instantly (simulation mode).
   DelaySchedulerOptions scheduler;
   /// Per-principal delay escalation seam (the defense layer's
@@ -213,8 +213,10 @@ class ConcurrentProtectedDatabase {
   Result<ProtectedResult> GetByKey(int64_t key,
                                    const RequestPrincipal& who);
 
-  /// Completion callback for the async entry points. Runs on a
-  /// scheduler dispatcher thread when a parked stall expires. A zero
+  /// Completion callback for the async entry points. Runs on the
+  /// scheduler's driver thread when a parked stall expires or is
+  /// cancelled, so it must be short: it must not block or wait on
+  /// another stall (e.g. call a blocking entry point). A zero
   /// charge and a perimeter / storage error (nothing to stall for)
   /// complete inline on the submitting thread, before the entry point
   /// returns: a caller must not hold a lock across the call that its

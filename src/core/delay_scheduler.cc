@@ -16,6 +16,11 @@ namespace {
 
 constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
 
+/// The driver's longest single sleep. A far deadline (hours away, or a
+/// saturated kNever) is slept toward in hour-long waits, so the
+/// condition variable's clock arithmetic never overflows.
+constexpr int64_t kMaxWaitMicros = int64_t{3'600'000'000};
+
 /// Min-heap on deadline (std::*_heap builds a max-heap, so invert).
 struct DeadlineGreater {
   template <typename E>
@@ -28,7 +33,6 @@ struct DeadlineGreater {
 
 DelayScheduler::DelayScheduler(Clock* clock, DelaySchedulerOptions options)
     : clock_(clock), options_(options) {
-  if (options_.num_dispatchers == 0) options_.num_dispatchers = 1;
   if (options_.tick_micros < 1) options_.tick_micros = 1;
   if (options_.wheel_bits < 1) options_.wheel_bits = 1;
   if (options_.wheel_bits > 16) options_.wheel_bits = 16;
@@ -67,13 +71,7 @@ DelayScheduler::DelayScheduler(Clock* clock, DelaySchedulerOptions options)
   wheel_.assign(options_.levels,
                 std::vector<Entry*>(slots_per_level_, nullptr));
   level0_earliest_.assign(slots_per_level_, kNever);
-  dispatchers_.reserve(options_.num_dispatchers);
-  for (size_t i = 0; i < options_.num_dispatchers; ++i) {
-    dispatchers_.emplace_back([this] { DispatcherLoop(); });
-  }
-  if (!virtual_) {
-    driver_ = std::thread([this] { DriverLoop(); });
-  }
+  driver_ = std::thread([this] { DriverLoop(); });
 }
 
 DelayScheduler::~DelayScheduler() { Shutdown(ShutdownMode::kCancelPending); }
@@ -97,7 +95,7 @@ TimerId DelayScheduler::Submit(double delay_seconds, Callback done,
           if (m_queue_depth_ != nullptr) {
             m_queue_depth_->Set(static_cast<int64_t>(ready_.size()));
           }
-          ready_cv_.notify_one();
+          timer_cv_.notify_one();
           return id;
         }
         // DelayToMicros rounds up, so 0 means the charge was zero or
@@ -119,8 +117,11 @@ TimerId DelayScheduler::Submit(double delay_seconds, Callback done,
       e->submit_micros = clock_->NowMicros();
       // NowMicros truncates, so the submit instant may lie up to 1 us
       // past submit_micros: the +1 keeps the stall from being served
-      // short by that fraction.
-      e->deadline_micros = e->submit_micros + delay_us + 1;
+      // short by that fraction. A deadline past the clock's range
+      // saturates to kNever, which only a cancel or shutdown completes.
+      e->deadline_micros = delay_us < kNever - 1 - e->submit_micros
+                               ? e->submit_micros + delay_us + 1
+                               : kNever;
       e->deadline_tick = TickOf(e->deadline_micros);
       InsertLocked(e);
       entries_.emplace(id, e);
@@ -157,6 +158,7 @@ bool DelayScheduler::Cancel(TimerId id) {
   }
   std::vector<Entry*> one{e};
   CompleteLocked(&one, /*cancelled=*/true);
+  timer_cv_.notify_one();
   return true;
 }
 
@@ -181,6 +183,7 @@ size_t DelayScheduler::CancelGroup(StallGroup group) {
   }
   const size_t n = victims.size();
   CompleteLocked(&victims, /*cancelled=*/true);
+  if (n > 0) timer_cv_.notify_one();
   return n;
 }
 
@@ -212,8 +215,7 @@ void DelayScheduler::Shutdown(ShutdownMode mode) {
         overflow_.clear();
         CompleteLocked(&victims, /*cancelled=*/true);
       }
-      timer_cv_.notify_all();
-      ready_cv_.notify_all();
+      timer_cv_.notify_one();
     }
     if (!joined_) {
       joined_ = true;
@@ -222,9 +224,6 @@ void DelayScheduler::Shutdown(ShutdownMode mode) {
   }
   if (do_join) {
     if (driver_.joinable()) driver_.join();
-    for (auto& d : dispatchers_) {
-      if (d.joinable()) d.join();
-    }
     // A zero-delay callback may still be running on a submitting
     // thread; it touches mu_ once more on return, so the scheduler
     // must outlive it.
@@ -512,11 +511,6 @@ void DelayScheduler::CompleteLocked(std::vector<Entry*>* entries,
   if (m_queue_depth_ != nullptr) {
     m_queue_depth_->Set(static_cast<int64_t>(ready_.size()));
   }
-  if (entries->size() == 1) {
-    ready_cv_.notify_one();
-  } else {
-    ready_cv_.notify_all();
-  }
   entries->clear();
 }
 
@@ -530,10 +524,29 @@ void DelayScheduler::DriverLoop() {
 #endif
   std::unique_lock<std::mutex> lock(mu_);
   std::vector<Entry*> expired;
-  while (!stop_) {
-    AdvanceToLocked(clock_->NowMicros(), &expired);
-    CompleteLocked(&expired, /*cancelled=*/false);
-    const int64_t next = NextEventMicrosLocked();
+  std::vector<Completion> running;
+  for (;;) {
+    // Virtual mode parks nothing: the driver only runs the queue.
+    if (!virtual_) {
+      AdvanceToLocked(clock_->NowMicros(), &expired);
+      CompleteLocked(&expired, /*cancelled=*/false);
+    }
+    if (!ready_.empty()) {
+      // Run the whole queue outside the lock (callbacks may re-enter),
+      // in the order it was queued; executing_ keeps Drain() and
+      // Shutdown() waiting until the last one returns.
+      running.swap(ready_);
+      if (m_queue_depth_ != nullptr) m_queue_depth_->Set(0);
+      ++executing_;
+      lock.unlock();
+      for (Completion& c : running) c.done(c.cancelled);
+      running.clear();  // Destroy the callbacks outside the lock too.
+      lock.lock();
+      EndExecutingLocked();
+      continue;  // Time passed: re-evaluate before sleeping.
+    }
+    if (stop_) return;
+    const int64_t next = virtual_ ? -1 : NextEventMicrosLocked();
     if (next < 0) {
       driver_wake_micros_ = kNever;
       timer_cv_.wait(lock);
@@ -541,31 +554,11 @@ void DelayScheduler::DriverLoop() {
       const int64_t wait = next - clock_->NowMicros();
       if (wait <= 0) continue;
       driver_wake_micros_ = next;
-      timer_cv_.wait_for(lock, std::chrono::microseconds(wait));
+      timer_cv_.wait_for(
+          lock, std::chrono::microseconds(std::min(wait, kMaxWaitMicros)));
     }
     // Re-evaluate: time passed, or submit/cancel/stop changed things.
     if (m_driver_wakes_ != nullptr) m_driver_wakes_->Increment();
-  }
-}
-
-void DelayScheduler::DispatcherLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    ready_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
-    if (ready_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    Completion c = std::move(ready_.front());
-    ready_.pop_front();
-    if (m_queue_depth_ != nullptr) {
-      m_queue_depth_->Set(static_cast<int64_t>(ready_.size()));
-    }
-    ++executing_;
-    lock.unlock();
-    c.done(c.cancelled);  // Outside the lock: callbacks may re-enter.
-    lock.lock();
-    EndExecutingLocked();
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -25,11 +24,6 @@ using TimerId = uint64_t;
 using StallGroup = uint64_t;
 
 struct DelaySchedulerOptions {
-  /// Completion workers: the threads that run expiry callbacks. This
-  /// is the *fixed* thread budget that carries every concurrent stall
-  /// -- the whole point of the scheduler is that parked requests cost
-  /// a wheel entry, not a thread.
-  size_t num_dispatchers = 4;
   /// Wheel resolution: the tick decides which slot files an entry, not
   /// when it fires. Every stall fires at its own microsecond deadline,
   /// so the tick bounds neither lateness nor shortness; it sets the
@@ -50,18 +44,21 @@ struct DelaySchedulerOptions {
   obs::MetricRegistry* metrics = nullptr;
 };
 
-/// Hierarchical timer wheel + overflow heap with a dispatcher pool:
-/// turns "a stalled request" from a blocked OS thread into a parked
-/// wheel entry, so a fixed thread count can carry tens of thousands of
-/// concurrently-stalled sessions.
+/// Hierarchical timer wheel + overflow heap: turns "a stalled request"
+/// from a blocked OS thread into a parked wheel entry, so one thread
+/// can carry tens of thousands of concurrently-stalled sessions.
 ///
-/// Threads: one driver (advances the wheel; absent in virtual mode)
-/// plus `num_dispatchers` completion workers. Expired/cancelled
-/// entries move to a FIFO completion queue; dispatchers pop and invoke
-/// the callback OUTSIDE the scheduler lock, so callbacks may submit,
-/// cancel, or block without deadlocking the wheel. A zero delay on a
-/// real clock skips the hop: its callback runs on the submitting
-/// thread, also outside the lock.
+/// Threads: one driver. It fires expired entries and runs their
+/// callbacks itself, in expiry order, OUTSIDE the scheduler lock.
+/// Cancelled entries join a FIFO completion queue that the driver also
+/// runs, so a parked stall's callback never runs on the thread that
+/// cancelled it. A zero delay on a real clock skips the driver: its
+/// callback runs on the submitting thread, also outside the lock.
+///
+/// Callbacks must be short: every other parked stall waits behind one.
+/// A callback may Submit, Cancel and CancelGroup, but must not block,
+/// must not wait on another stall (e.g. a blocking door call), and must
+/// not call Drain() or Shutdown(), which would wait on its own thread.
 ///
 /// Every submitted callback is invoked exactly once, with
 /// `cancelled == false` on expiry and `cancelled == true` when the
@@ -82,7 +79,8 @@ class DelayScheduler {
 
   /// `clock` must outlive the scheduler. A virtual clock (and only
   /// that) selects instant-fire simulation mode: every submission fires
-  /// at once through the completion queue and no driver thread runs.
+  /// at once through the completion queue, which the driver runs in
+  /// submission order.
   explicit DelayScheduler(Clock* clock, DelaySchedulerOptions options = {});
 
   /// Shutdown(kCancelPending) if still running.
@@ -94,28 +92,32 @@ class DelayScheduler {
   /// Parks `done` for `delay_seconds`, rounded up to whole
   /// microseconds. It fires at the first microsecond reading past
   /// submit + delay, so it waits at least its own length (never short),
-  /// and any positive delay completes on a dispatcher. On a real clock
-  /// a zero or negative delay runs `done(false)` on the calling thread
-  /// before Submit returns, outside the scheduler lock: the callback
-  /// may re-enter Submit/Cancel/CancelGroup, but a caller must not
-  /// hold a lock across Submit that its callback takes. Under a virtual
-  /// clock every submission fires through the completion queue in
-  /// submission order. After shutdown the callback fires inline with
-  /// cancelled=true and the returned id is 0.
+  /// and any positive delay completes on the driver. A delay too long
+  /// for the clock (including +inf) saturates: it stays parked until
+  /// cancelled or shut down. On a real clock a zero or negative delay
+  /// runs `done(false)` on the calling thread before Submit returns,
+  /// outside the scheduler lock: the callback may re-enter
+  /// Submit/Cancel/CancelGroup, but a caller must not hold a lock
+  /// across Submit that its callback takes. Under a virtual clock every
+  /// submission fires on the driver in submission order. After shutdown
+  /// the callback fires inline with cancelled=true and the returned id
+  /// is 0.
   TimerId Submit(double delay_seconds, Callback done, StallGroup group = 0);
 
   /// Cancels one parked stall; its callback fires (cancelled=true) on
-  /// a dispatcher. False when the id is unknown or already expired.
+  /// the driver, never on the calling thread. False when the id is
+  /// unknown or already expired.
   bool Cancel(TimerId id);
 
   /// Cancels every parked stall in `group` (group 0 is a no-op by
-  /// definition). Returns the number cancelled.
+  /// definition); their callbacks fire on the driver, as for Cancel.
+  /// Returns the number cancelled.
   size_t CancelGroup(StallGroup group);
 
   /// Blocks until nothing is parked, queued, or executing.
   void Drain();
 
-  /// Stops the scheduler. Idempotent; joins all threads.
+  /// Stops the scheduler. Idempotent; joins the driver.
   void Shutdown(ShutdownMode mode = ShutdownMode::kCancelPending);
 
   // --- Observability (locked snapshots). ---------------------------------
@@ -174,14 +176,13 @@ class DelayScheduler {
   /// Earliest instant (micros) at which anything can expire, cascade
   /// or be promoted, or -1 when nothing is parked.
   int64_t NextEventMicrosLocked() const;
-  /// Moves entries to the completion queue (deletes them) and wakes
-  /// dispatchers.
+  /// Moves entries to the completion queue (deletes them). Cancel paths
+  /// then wake the driver to run them.
   void CompleteLocked(std::vector<Entry*>* entries, bool cancelled);
-  /// A callback returned: drops executing_ and wakes Drain() waiters
+  /// Callbacks returned: drops executing_ and wakes Drain() waiters
   /// once nothing is parked, queued or executing.
   void EndExecutingLocked();
   void DriverLoop();
-  void DispatcherLoop();
 
   Clock* clock_;
   DelaySchedulerOptions options_;
@@ -192,8 +193,8 @@ class DelayScheduler {
   int64_t span_ticks_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable timer_cv_;  // Driver: new earlier deadline/stop.
-  std::condition_variable ready_cv_;  // Dispatchers: completion queue.
+  // Driver: an earlier deadline, a queued completion, or stop.
+  std::condition_variable timer_cv_;
   std::condition_variable drain_cv_;  // Drain()/Shutdown(kDrain).
   bool stop_ = false;
   bool joined_ = false;
@@ -214,7 +215,8 @@ class DelayScheduler {
   // Min-heap on deadline_micros (std::push_heap with greater-than).
   std::vector<Entry*> overflow_;
   std::unordered_map<TimerId, Entry*> entries_;
-  std::deque<Completion> ready_;
+  // Completions waiting for the driver, in the order they were queued.
+  std::vector<Completion> ready_;
   size_t executing_ = 0;
   size_t peak_parked_ = 0;
   uint64_t scheduled_total_ = 0;
@@ -238,7 +240,6 @@ class DelayScheduler {
   obs::Histogram* m_dispatch_lag_micros_ = nullptr;
 
   std::thread driver_;
-  std::vector<std::thread> dispatchers_;
 };
 
 }  // namespace tarpit

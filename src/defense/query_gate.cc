@@ -267,7 +267,7 @@ void QueryGate::ExecuteSqlAsync(const Identity& identity,
   // Perimeter checks + compute + accounting run inline (the gate is
   // not thread-safe; this is the same admit path as ExecuteSql). Only
   // a nonzero stall moves off-thread: it parks on the wheel and `done`
-  // fires on a dispatcher at expiry -- instantly, in submission order,
+  // fires on the driver at expiry -- instantly, in submission order,
   // under a VirtualClock, which is how simulations drive the async
   // perimeter on one timeline. A zero stall on a real clock completes
   // here, inside Submit.

@@ -102,7 +102,8 @@ class QueryGate {
   /// Async perimeter execution: admit + compute + delay accounting run
   /// inline on the caller (the gate itself is single-threaded, like
   /// the serial ProtectedDatabase it fronts); the charged stall parks
-  /// on `scheduler` and `done` fires on a dispatcher thread at expiry.
+  /// on `scheduler` and `done` fires on its driver thread at expiry
+  /// (so `done` must be short and must not block).
   /// Perimeter denials and, on a real clock, a zero stall complete
   /// inline, before this returns. Requires the database to be
   /// opened with defer_delay_sleep, so the gate is the one who serves:

@@ -19,7 +19,7 @@ namespace net {
 /// thread; every connection is owned by exactly one loop and all of its
 /// state is touched only from that loop's thread -- cross-thread work
 /// (accepted fds from the acceptor, completions of parked stalls from
-/// the DelayScheduler's dispatchers) arrives via Post(), which is the
+/// the DelayScheduler's driver) arrives via Post(), which is the
 /// only thread-safe entry point besides Stop(). A zero-charge request
 /// completes inside its door call on the loop thread and needs no
 /// Post.

@@ -551,8 +551,11 @@ bool TarpitServer::StartQuery(Conn* conn, Frame frame) {
   auto done = [this, li, id](Result<ProtectedResult> r) {
     // On the loop thread the door completed inline (a zero charge or a
     // perimeter error) and the call below has not returned yet: leave
-    // the result for it. Anything else ran on a scheduler dispatcher
-    // (stall expiry or cancellation) and marshals back to the loop.
+    // the result for it. Anything else ran on the scheduler's driver
+    // (stall expiry or cancellation) and marshals back to the loop. A
+    // parked stall never completes on the thread that cancelled it, so
+    // CloseConn's CancelSession on this loop cannot land here and
+    // leave a stale inline_result for the loop's next request.
     if (loops_[li]->InLoopThread()) {
       loop_state_[li]->inline_result = std::move(r);
       return;

@@ -4,9 +4,11 @@
 // short, not rounded to the next tick, and without waking the driver
 // for later deadlines), overflow-heap promotion (the "multi-hour
 // stall" path, exercised through a deliberately tiny wheel geometry),
+// huge and infinite delays that saturate instead of wrapping,
 // cancellation racing the cascade and a same-tick crowd, virtual-clock
-// instant-fire ordering, group cancellation, and the drain/shutdown
-// protocol.
+// instant-fire ordering, group cancellation, the drain/shutdown
+// protocol, and the one-thread contract: every parked stall completes
+// on the driver, never on the thread that cancelled it.
 //
 // Labeled "concurrency" in tests/CMakeLists.txt: the cancellation and
 // drain cases are multi-threaded and are primary TSan targets.
@@ -109,9 +111,7 @@ void RaceCancellation(DelayScheduler* sched,
 
 TEST(DelaySchedulerTest, ZeroDelayFiresImmediatelyInOrder) {
   RealClock clock;
-  DelaySchedulerOptions opts;
-  opts.num_dispatchers = 1;  // Single dispatcher => FIFO completions.
-  DelayScheduler sched(&clock, opts);
+  DelayScheduler sched(&clock);
 
   std::mutex mu;
   std::vector<int> order;
@@ -302,7 +302,6 @@ TEST(DelaySchedulerTest, CancellationRacesCascadeExactlyOnce) {
   opts.tick_micros = 1000;
   opts.wheel_bits = 2;
   opts.levels = 3;  // 64 ms horizon.
-  opts.num_dispatchers = 4;
   DelayScheduler sched(&clock, opts);
 
   const int n = StressIters(400);
@@ -340,9 +339,7 @@ TEST(DelaySchedulerTest, CancellationRacesSameTickCrowdExactlyOnce) {
 
 TEST(DelaySchedulerTest, VirtualClockFiresInstantlyInSubmissionOrder) {
   VirtualClock clock;
-  DelaySchedulerOptions opts;
-  opts.num_dispatchers = 1;  // FIFO through the completion queue.
-  DelayScheduler sched(&clock, opts);
+  DelayScheduler sched(&clock);
 
   std::mutex mu;
   std::vector<int> order;
@@ -536,9 +533,9 @@ TEST(DelaySchedulerTest, DrainWaitsForInlineCallbackOnAnotherThread) {
   EXPECT_TRUE(drained.load());
 }
 
-// Any positive delay, however small, parks: it completes on a
-// dispatcher, never on the caller, and no sooner than 1 us later.
-TEST(DelaySchedulerTest, TinyPositiveDelayParksOnADispatcher) {
+// Any positive delay, however small, parks: it completes on the
+// driver, never on the caller, and no sooner than 1 us later.
+TEST(DelaySchedulerTest, TinyPositiveDelayParksOnTheDriver) {
   RealClock clock;
   DelaySchedulerOptions opts;
   opts.tick_micros = 1000;
@@ -555,6 +552,77 @@ TEST(DelaySchedulerTest, TinyPositiveDelayParksOnADispatcher) {
   EXPECT_GE(fired_at - start, 1);  // 1e-9 s rounds up to 1 us.
   sched.Drain();
   EXPECT_EQ(sched.fired_total(), 1u);
+}
+
+// One thread completes every parked stall: an expiry, a Cancel, a
+// CancelGroup and a Shutdown(kCancelPending) all run their callbacks on
+// the driver, never on the thread that cancelled.
+TEST(DelaySchedulerTest, EveryParkedCallbackRunsOnTheDriver) {
+  RealClock clock;
+  DelayScheduler sched(&clock);
+  constexpr StallGroup kGroup = 3;
+
+  std::promise<std::thread::id> expired, cancelled, group_cancelled,
+      shut_down;
+  auto record = [](std::promise<std::thread::id>* p, bool want_cancelled) {
+    return [p, want_cancelled](bool c) {
+      EXPECT_EQ(c, want_cancelled);
+      p->set_value(std::this_thread::get_id());
+    };
+  };
+  sched.Submit(0.001, record(&expired, false));
+  const TimerId one = sched.Submit(3600.0, record(&cancelled, true));
+  sched.Submit(3600.0, record(&group_cancelled, true), kGroup);
+  sched.Submit(3600.0, record(&shut_down, true));
+
+  const std::thread::id expired_on = expired.get_future().get();
+  EXPECT_TRUE(sched.Cancel(one));
+  EXPECT_EQ(sched.CancelGroup(kGroup), 1u);
+  sched.Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
+
+  const std::thread::id self = std::this_thread::get_id();
+  EXPECT_NE(expired_on, self);
+  EXPECT_EQ(cancelled.get_future().get(), expired_on);
+  EXPECT_EQ(group_cancelled.get_future().get(), expired_on);
+  EXPECT_EQ(shut_down.get_future().get(), expired_on);
+}
+
+// A delay too long for the clock saturates its deadline instead of
+// wrapping to one in the past: the stall stays parked (never served
+// short) until a cancel completes it.
+TEST(DelaySchedulerTest, HugeOrInfiniteDelayParksUntilCancelled) {
+  RealClock clock;
+  DelayScheduler sched(&clock);
+
+  const double delays[] = {std::numeric_limits<double>::infinity(), 1e13,
+                           9.3e12, 1e12};
+  constexpr int kN = sizeof(delays) / sizeof(delays[0]);
+  std::atomic<int> calls[kN];
+  std::atomic<bool> was_cancelled[kN];
+  TimerId ids[kN];
+  for (int i = 0; i < kN; ++i) {
+    calls[i] = 0;
+    was_cancelled[i] = false;
+    ids[i] = sched.Submit(delays[i], [&, i](bool cancelled) {
+      was_cancelled[i] = cancelled;
+      ++calls[i];
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(sched.parked(), static_cast<size_t>(kN));
+  for (int i = 0; i < kN; ++i) {
+    SCOPED_TRACE(delays[i]);
+    EXPECT_EQ(calls[i].load(), 0);
+    EXPECT_TRUE(sched.Cancel(ids[i]));
+  }
+  sched.Drain();
+  for (int i = 0; i < kN; ++i) {
+    SCOPED_TRACE(delays[i]);
+    EXPECT_EQ(calls[i].load(), 1);
+    EXPECT_TRUE(was_cancelled[i].load());
+  }
+  EXPECT_EQ(sched.fired_total(), 0u);
+  EXPECT_EQ(sched.cancelled_total(), static_cast<uint64_t>(kN));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // EPOLLRDHUP detection, CancelSession, and the ReputationStore.
 //
 // Labeled `adversary` (it is an attack regression) and `concurrency`
-// (acceptor + reactors + dispatchers under TSan).
+// (acceptor + reactors + scheduler driver under TSan).
 
 #include <chrono>
 #include <filesystem>

@@ -9,7 +9,7 @@
 // short, charges kept).
 //
 // Labeled `concurrency`: every test runs the multi-threaded server
-// (acceptor + reactors + scheduler dispatchers), so the TSan job
+// (acceptor + reactors + scheduler driver), so the TSan job
 // exercises the full cross-thread handoff. TARPIT_STRESS_ITERS caps
 // the fuzz iterations under sanitizer slowdown.
 

@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
 
   for (int frame = 1; frame <= args.frames; ++frame) {
     // Issue this frame's traffic; stalls park on the wheel and
-    // complete on dispatcher threads while we render.
+    // complete on the scheduler's driver while we render.
     auto fire = [&](const RequestPrincipal& who, int64_t key) {
       db->GetByKeyAsync(
           key, who,
