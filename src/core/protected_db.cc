@@ -1,7 +1,9 @@
 #include "core/protected_db.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "sql/parser.h"
 
@@ -15,6 +17,20 @@ class NoDelayPolicy : public DelayPolicy {
   double DelayFor(int64_t) const override { return 0.0; }
   std::string name() const override { return "none"; }
 };
+
+// DelayBounds::Apply hands both ends to std::clamp, which is undefined
+// for min > max; a NaN end compares false against everything. A max of
+// +inf is legal (an uncapped policy); a min must be finite and >= 0.
+Status CheckBounds(const char* which, const DelayBounds& b) {
+  if (std::isfinite(b.min_seconds) && b.min_seconds >= 0 &&
+      !std::isnan(b.max_seconds) && b.min_seconds <= b.max_seconds) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::string(which) + " delay bounds need a finite min >= 0 and a "
+      "max >= min (got min " + std::to_string(b.min_seconds) + ", max " +
+      std::to_string(b.max_seconds) + ")");
+}
 
 }  // namespace
 
@@ -31,6 +47,8 @@ const char* DelayModeName(DelayMode mode) {
 Result<std::unique_ptr<ProtectedDatabase>> ProtectedDatabase::Open(
     const std::string& dir, const std::string& table_name, Clock* clock,
     ProtectedDatabaseOptions options) {
+  TARPIT_RETURN_IF_ERROR(CheckBounds("popularity", options.popularity.bounds));
+  TARPIT_RETURN_IF_ERROR(CheckBounds("update", options.update.bounds));
   auto pdb = std::unique_ptr<ProtectedDatabase>(
       new ProtectedDatabase(options, clock));
   TARPIT_RETURN_IF_ERROR(pdb->Init(dir, table_name));

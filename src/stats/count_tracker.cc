@@ -10,12 +10,9 @@ constexpr double kRenormalizeThreshold = 1e100;
 }  // namespace
 
 CountTracker::CountTracker(uint64_t universe_size,
-                           double decay_per_request,
-                           std::unique_ptr<RankIndex> index)
+                           double decay_per_request)
     : universe_size_(universe_size),
-      decay_per_request_(decay_per_request),
-      index_(index ? std::move(index)
-                   : std::make_unique<TreapRankIndex>()) {}
+      decay_per_request_(decay_per_request) {}
 
 void CountTracker::Record(int64_t key) {
   ++total_requests_;
@@ -72,7 +69,7 @@ void CountTracker::DeferRankUpdate(int64_t key, double old_raw,
 void CountTracker::SyncRankIndex() const {
   if (pending_.empty()) return;
   for (const auto& [key, old] : pending_) {
-    index_->UpdateCount(key, old.first, old.second, counts_.at(key));
+    index_.UpdateCount(key, old.first, old.second, counts_.at(key));
   }
   pending_.clear();
 }
@@ -86,7 +83,7 @@ void CountTracker::RenormalizeIfNeeded() {
   for (auto& [key, raw] : counts_) raw *= inv;
   for (auto& [key, old] : pending_) old.first *= inv;
   raw_total_ *= inv;
-  index_->Rescale(inv);
+  index_.Rescale(inv);
   weight_ = 1.0;
   ++renormalizations_;
 }
@@ -102,7 +99,7 @@ PopularityStats CountTracker::Stats(int64_t key, bool need_rank) const {
   PopularityStats stats;
   stats.total_requests = total_requests_;
   stats.distinct_seen = static_cast<uint64_t>(counts_.size());
-  stats.max_count = need_rank ? index_->MaxCount() / weight_ : 0.0;
+  stats.max_count = need_rank ? index_.MaxCount() / weight_ : 0.0;
   stats.total_count = raw_total_ / weight_;
   auto it = counts_.find(key);
   if (it == counts_.end()) {
@@ -114,7 +111,7 @@ PopularityStats CountTracker::Stats(int64_t key, bool need_rank) const {
     return stats;
   }
   stats.count = it->second / weight_;
-  stats.rank = need_rank ? index_->Rank(key, it->second) : 0;
+  stats.rank = need_rank ? index_.Rank(key, it->second) : 0;
   return stats;
 }
 

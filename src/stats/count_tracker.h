@@ -2,7 +2,6 @@
 #define TARPIT_STATS_COUNT_TRACKER_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "stats/rank_index.h"
@@ -40,9 +39,7 @@ class CountTracker {
   /// `universe_size`: N, the number of tuples in the protected relation
   /// (used as the rank of never-seen keys).
   /// `decay_per_request`: delta applied at each request.
-  /// `index`: rank structure (defaults to the exact treap).
-  CountTracker(uint64_t universe_size, double decay_per_request,
-               std::unique_ptr<RankIndex> index = nullptr);
+  CountTracker(uint64_t universe_size, double decay_per_request);
 
   CountTracker(const CountTracker&) = delete;
   CountTracker& operator=(const CountTracker&) = delete;
@@ -105,7 +102,8 @@ class CountTracker {
 
   uint64_t universe_size_;
   double decay_per_request_;
-  std::unique_ptr<RankIndex> index_;
+  // Mutable because rank reads flush deferred repositions into it.
+  mutable TreapRankIndex index_;
 
   // Deferred rank-index work: key -> (raw count when first deferred,
   // whether the index tracked the key then). Values live on the

@@ -5,8 +5,6 @@
 
 namespace tarpit {
 
-// ---------- TreapRankIndex ----------
-
 struct TreapRankIndex::Node {
   double count;
   int64_t key;
@@ -144,73 +142,6 @@ void TreapRankIndex::FreeTree(Node* n) {
   FreeTree(n->left);
   FreeTree(n->right);
   delete n;
-}
-
-// ---------- BucketRankIndex ----------
-
-BucketRankIndex::BucketRankIndex(double growth)
-    : growth_(growth), log_growth_(std::log(growth)) {
-  assert(growth > 1.0);
-}
-
-int BucketRankIndex::BucketFor(double count) const {
-  const double scaled = count / rescale_;
-  if (scaled <= 0) return INT32_MIN / 2;
-  return static_cast<int>(std::floor(std::log(scaled) / log_growth_));
-}
-
-void BucketRankIndex::UpdateCount(int64_t key, double old_count,
-                                  bool was_tracked, double new_count) {
-  (void)key;
-  if (was_tracked) {
-    const int ob = BucketFor(old_count);
-    const size_t oi = static_cast<size_t>(ob + bucket_offset_);
-    if (oi < buckets_.size() && buckets_[oi] > 0) --buckets_[oi];
-  } else {
-    ++tracked_;
-  }
-  int nb = BucketFor(new_count);
-  // Grow the bucket array to cover nb.
-  if (buckets_.empty()) {
-    bucket_offset_ = -nb;
-    buckets_.assign(1, 0);
-  }
-  while (nb + bucket_offset_ < 0) {
-    buckets_.insert(buckets_.begin(), 0);
-    ++bucket_offset_;
-  }
-  while (static_cast<size_t>(nb + bucket_offset_) >= buckets_.size()) {
-    buckets_.push_back(0);
-  }
-  ++buckets_[static_cast<size_t>(nb + bucket_offset_)];
-  if (new_count > max_count_) max_count_ = new_count;
-}
-
-uint64_t BucketRankIndex::Rank(int64_t key, double count) const {
-  (void)key;
-  const int b = BucketFor(count);
-  const int bi = b + bucket_offset_;
-  uint64_t above = 0;
-  for (int i = static_cast<int>(buckets_.size()) - 1; i > bi; --i) {
-    above += buckets_[i];
-  }
-  uint64_t in_bucket = 0;
-  if (bi >= 0 && static_cast<size_t>(bi) < buckets_.size()) {
-    in_bucket = buckets_[static_cast<size_t>(bi)];
-  }
-  // Estimate position as the middle of the bucket.
-  return above + (in_bucket + 1) / 2 + (in_bucket == 0 ? 1 : 0);
-}
-
-double BucketRankIndex::MaxCount() const { return max_count_; }
-
-uint64_t BucketRankIndex::NumTracked() const { return tracked_; }
-
-void BucketRankIndex::Rescale(double factor) {
-  // Conceptual counts scale by `factor`; shifting the reference scale by
-  // the same factor keeps every key's bucket assignment stable.
-  rescale_ *= factor;
-  max_count_ *= factor;
 }
 
 }  // namespace tarpit

@@ -2,51 +2,38 @@
 #define TARPIT_STATS_RANK_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace tarpit {
 
 /// Maintains the popularity ordering of tracked keys so the delay engine
 /// can ask "what is this tuple's rank?" (rank 1 = most popular) and
-/// "what is f_max?" in O(log n). Two implementations exist: an exact
-/// order-statistics treap and an approximate log-bucketed histogram (the
-/// ablation in bench_ablation_rank_index compares them).
-class RankIndex {
+/// "what is f_max?" in O(log n): an exact order-statistics treap keyed
+/// by (count desc, key asc).
+class TreapRankIndex {
  public:
-  virtual ~RankIndex() = default;
+  TreapRankIndex();
+  ~TreapRankIndex();
+
+  TreapRankIndex(const TreapRankIndex&) = delete;
+  TreapRankIndex& operator=(const TreapRankIndex&) = delete;
 
   /// Registers a count change for `key`. `old_count` == 0 with
   /// `was_tracked` == false means the key is new to the index.
-  virtual void UpdateCount(int64_t key, double old_count, bool was_tracked,
-                           double new_count) = 0;
+  void UpdateCount(int64_t key, double old_count, bool was_tracked,
+                   double new_count);
 
   /// 1-based rank of a key currently holding `count` (ties broken by
   /// key, deterministic). Precondition: the key is tracked.
-  virtual uint64_t Rank(int64_t key, double count) const = 0;
+  uint64_t Rank(int64_t key, double count) const;
 
   /// Count of the most popular tracked key (0 when empty).
-  virtual double MaxCount() const = 0;
+  double MaxCount() const;
 
-  virtual uint64_t NumTracked() const = 0;
+  uint64_t NumTracked() const;
 
   /// Multiplies every stored count by `factor` (> 0), preserving order;
   /// used when the owning tracker renormalizes its decay scale.
-  virtual void Rescale(double factor) = 0;
-};
-
-/// Exact order-statistics treap keyed by (count desc, key asc).
-class TreapRankIndex : public RankIndex {
- public:
-  TreapRankIndex();
-  ~TreapRankIndex() override;
-
-  void UpdateCount(int64_t key, double old_count, bool was_tracked,
-                   double new_count) override;
-  uint64_t Rank(int64_t key, double count) const override;
-  double MaxCount() const override;
-  uint64_t NumTracked() const override;
-  void Rescale(double factor) override;
+  void Rescale(double factor);
 
  private:
   struct Node;
@@ -62,36 +49,6 @@ class TreapRankIndex : public RankIndex {
 
   Node* root_ = nullptr;
   uint64_t rng_state_;
-};
-
-/// Approximate rank index: counts are binned into geometric buckets;
-/// rank is estimated as the number of keys in strictly-greater buckets
-/// plus half of the key's own bucket. O(1) updates, O(#buckets) rank
-/// queries, and bounded relative rank error set by `growth`.
-class BucketRankIndex : public RankIndex {
- public:
-  /// `growth` > 1 controls bucket width (relative count resolution).
-  explicit BucketRankIndex(double growth = 1.25);
-
-  void UpdateCount(int64_t key, double old_count, bool was_tracked,
-                   double new_count) override;
-  uint64_t Rank(int64_t key, double count) const override;
-  double MaxCount() const override;
-  uint64_t NumTracked() const override;
-  void Rescale(double factor) override;
-
- private:
-  int BucketFor(double count) const;
-
-  double growth_;
-  double log_growth_;
-  // bucket index -> number of keys currently in it. Bucket indexes can
-  // be negative for counts < 1; store with an offset map.
-  std::vector<uint64_t> buckets_;
-  int bucket_offset_ = 0;  // buckets_[i] holds bucket (i - offset).
-  uint64_t tracked_ = 0;
-  double max_count_ = 0;
-  double rescale_ = 1.0;  // Lazy global multiplier applied to counts.
 };
 
 }  // namespace tarpit

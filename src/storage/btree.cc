@@ -235,7 +235,7 @@ Result<PageGuard> BTree::DescendToLeaf(int64_t key,
   int level = 1;
   while (true) {
     Node node{guard.data()};
-    if (node.is_leaf()) return std::move(guard);
+    if (node.is_leaf()) return guard;
     int idx = node.internal_descend_index(key);
     PageId child = node.child(idx);
     // Crab: latch + pin the child before the parent's latch and pin

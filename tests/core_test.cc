@@ -1,5 +1,6 @@
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -8,7 +9,6 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/zipf.h"
-#include "core/adaptive_decay.h"
 #include "core/analytic_zipf_delay.h"
 #include "core/delay_engine.h"
 #include "core/popularity_delay.h"
@@ -204,42 +204,6 @@ TEST(UpdateDelayTest, WindowScalesRates) {
   EXPECT_NEAR(policy.DelayFor(1), 0.1, 1e-9);
   policy.set_rate_window_seconds(1000.0);  // rate = 0.1/s.
   EXPECT_NEAR(policy.DelayFor(1), 1.0, 1e-9);
-}
-
-// ---------- AdaptiveDecayTracker ----------
-
-TEST(AdaptiveDecayTest, StationaryStreamPrefersNoDecay) {
-  AdaptiveDecayTracker adaptive(100, {1.0, 1.05}, 0.99);
-  ZipfDistribution zipf(100, 1.2);
-  Rng rng(9);
-  for (int i = 0; i < 30000; ++i) {
-    adaptive.Record(static_cast<int64_t>(zipf.Sample(&rng)));
-  }
-  EXPECT_EQ(adaptive.best_decay(), 1.0);
-}
-
-TEST(AdaptiveDecayTest, ShiftingStreamPrefersDecay) {
-  // Popularity flips every 500 requests between two disjoint hot sets;
-  // the decaying tracker adapts, the non-decaying one averages out.
-  AdaptiveDecayTracker adaptive(1000, {1.0, 1.05}, 0.995);
-  Rng rng(11);
-  for (int epoch = 0; epoch < 40; ++epoch) {
-    int64_t base = (epoch % 2 == 0) ? 0 : 500;
-    for (int i = 0; i < 500; ++i) {
-      adaptive.Record(base + static_cast<int64_t>(rng.Uniform(5)));
-    }
-  }
-  EXPECT_GT(adaptive.best_decay(), 1.0);
-}
-
-TEST(AdaptiveDecayTest, StatsComeFromBestTracker) {
-  AdaptiveDecayTracker adaptive(10, {1.0, 2.0});
-  for (int i = 0; i < 10; ++i) adaptive.Record(1);
-  PopularityStats s = adaptive.Stats(1);
-  EXPECT_EQ(s.rank, 1u);
-  EXPECT_GT(s.count, 0.0);
-  EXPECT_EQ(adaptive.total_requests(), 10u);
-  EXPECT_EQ(adaptive.num_candidates(), 2u);
 }
 
 // ---------- DelayEngine ----------
@@ -541,6 +505,39 @@ TEST_F(ProtectedDbTest, NoneModeChargesNothing) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->delay_seconds, 0.0);
   EXPECT_EQ(clock_.NowMicros(), 0);
+}
+
+TEST_F(ProtectedDbTest, OpenRejectsInvalidDelayBounds) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const DelayBounds rejected[] = {
+      {1.0, 0.5},   // min > max: undefined behaviour in std::clamp.
+      {0.02, 0.0},  // The default min over a max that parsed to 0.
+      {-0.1, 1.0},  // Negative min.
+      {nan, 1.0},   // NaN min.
+      {0.0, nan},   // NaN max.
+      {inf, inf},   // A min that is not finite stalls forever.
+  };
+  for (const DelayBounds& bounds : rejected) {
+    for (bool update_side : {false, true}) {
+      ProtectedDatabaseOptions opts;
+      (update_side ? opts.update.bounds : opts.popularity.bounds) = bounds;
+      auto pdb =
+          ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
+      ASSERT_FALSE(pdb.ok()) << "min " << bounds.min_seconds << " max "
+                             << bounds.max_seconds << " update "
+                             << update_side;
+      EXPECT_EQ(pdb.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // An uncapped policy is legal on either side.
+  ProtectedDatabaseOptions opts;
+  opts.popularity.bounds = {0.0, inf};
+  opts.update.bounds = {0.0, inf};
+  OpenDb(opts);
+  auto r = pdb_->ExecuteSql("SELECT * FROM items WHERE id = 3");
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r->delay_seconds, 0.0);
 }
 
 }  // namespace

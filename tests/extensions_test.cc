@@ -1,7 +1,7 @@
 // Tests for the extension features beyond the paper's core scheme:
 // HyperLogLog sketches, coverage-tracking delay escalation, combined
-// delay policies, the registration-fee model, SQL aggregates, and
-// warm-starting learned counts from persisted state.
+// delay policies, SQL aggregates, and warm-starting learned counts from
+// persisted state.
 
 #include <cmath>
 #include <filesystem>
@@ -19,7 +19,6 @@
 #include "core/protected_db.h"
 #include "defense/coverage_monitor.h"
 #include "defense/query_gate.h"
-#include "defense/registration_fee.h"
 #include "sql/executor.h"
 #include "storage/database.h"
 
@@ -269,34 +268,6 @@ TEST(CombinedDelayTest, SumAndCap) {
   CombinedDelayPolicy uncapped(&a, &b, CombineMode::kSum, {0.0, 100.0});
   EXPECT_EQ(uncapped.DelayFor(1), 13.0);
   EXPECT_NE(combined.name().find("combined-sum"), std::string::npos);
-}
-
-// ---------- RegistrationFeeModel ----------
-
-TEST(RegistrationFeeTest, OptimalIdentitiesBalanceTimeAndFees) {
-  RegistrationFeeModel model;
-  model.extraction_delay_seconds = 100'000;  // ~28 hours.
-  model.adversary_value_per_second = 0.01;   // 1 cent per second.
-  // k* = sqrt(d*v/fee) = sqrt(1000/fee).
-  EXPECT_EQ(model.OptimalIdentities(10.0), 10u);
-  EXPECT_EQ(model.OptimalIdentities(1000.0), 1u);
-  EXPECT_EQ(model.OptimalIdentities(0.0), UINT64_MAX);
-}
-
-TEST(RegistrationFeeTest, NeutralizingFeeMakesParallelismPointless) {
-  RegistrationFeeModel model;
-  model.extraction_delay_seconds = 100'000;
-  model.adversary_value_per_second = 0.01;
-  const double sequential_cost = model.AdversaryCost(1, 0.0);
-  const double fee = model.FeeToNeutralizeParallelism();
-  EXPECT_NEAR(fee, 250.0, 1e-9);  // d*v/4 = 1000/4.
-  // At the neutralizing fee, even the optimal k costs at least the
-  // sequential attack.
-  uint64_t k = model.OptimalIdentities(fee);
-  EXPECT_GE(model.AdversaryCost(k, fee), sequential_cost * 0.999);
-  // And a lower fee leaves parallelism profitable.
-  uint64_t cheap_k = model.OptimalIdentities(fee / 100);
-  EXPECT_LT(model.AdversaryCost(cheap_k, fee / 100), sequential_cost);
 }
 
 // ---------- SQL aggregates ----------

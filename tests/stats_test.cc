@@ -10,7 +10,6 @@
 #include "stats/count_cache.h"
 #include "stats/count_tracker.h"
 #include "stats/rank_index.h"
-#include "stats/synopsis.h"
 #include "storage/table.h"
 
 namespace tarpit {
@@ -93,56 +92,6 @@ TEST(TreapRankIndexTest, LargeRandomAgainstBruteForce) {
               brute_rank(truth[j].first, truth[j].second))
         << "key " << truth[j].first;
   }
-}
-
-// ---------- BucketRankIndex ----------
-
-TEST(BucketRankIndexTest, ApproximateRankWithinBucketError) {
-  BucketRankIndex idx(1.25);
-  // Counts 2^0 .. 2^9: all in distinct buckets, so ranks are exact.
-  for (int64_t k = 0; k < 10; ++k) {
-    idx.UpdateCount(k, 0, false, std::pow(2.0, k));
-  }
-  EXPECT_EQ(idx.NumTracked(), 10u);
-  EXPECT_EQ(idx.MaxCount(), 512.0);
-  EXPECT_EQ(idx.Rank(9, 512.0), 1u);
-  EXPECT_EQ(idx.Rank(0, 1.0), 10u);
-}
-
-TEST(BucketRankIndexTest, RankErrorBoundedByBucketPopulation) {
-  BucketRankIndex idx(2.0);
-  // 100 keys with count 10 (same bucket), one key with count 1000.
-  for (int64_t k = 0; k < 100; ++k) {
-    idx.UpdateCount(k, 0, false, 10.0);
-  }
-  idx.UpdateCount(999, 0, false, 1000.0);
-  EXPECT_EQ(idx.Rank(999, 1000.0), 1u);
-  uint64_t r = idx.Rank(50, 10.0);
-  // True rank is somewhere in [2, 101]; the estimate is mid-bucket.
-  EXPECT_GE(r, 2u);
-  EXPECT_LE(r, 101u);
-}
-
-TEST(BucketRankIndexTest, UpdateMovesBetweenBuckets) {
-  BucketRankIndex idx(2.0);
-  idx.UpdateCount(1, 0, false, 1.0);
-  idx.UpdateCount(2, 0, false, 100.0);
-  EXPECT_GT(idx.Rank(1, 1.0), idx.Rank(2, 100.0));
-  idx.UpdateCount(1, 1.0, true, 1000.0);
-  EXPECT_LT(idx.Rank(1, 1000.0), idx.Rank(2, 100.0));
-  EXPECT_EQ(idx.NumTracked(), 2u);
-}
-
-TEST(BucketRankIndexTest, RescaleKeepsAssignments) {
-  BucketRankIndex idx(2.0);
-  idx.UpdateCount(1, 0, false, 8.0);
-  idx.UpdateCount(2, 0, false, 64.0);
-  idx.Rescale(1.0 / 16.0);
-  // Counts are now conceptually 0.5 and 4; updates with rescaled counts
-  // must not corrupt bucket membership.
-  idx.UpdateCount(1, 0.5, true, 1.0);
-  EXPECT_LT(idx.Rank(2, 4.0), idx.Rank(1, 1.0));
-  EXPECT_NEAR(idx.MaxCount(), 4.0, 1e-12);
 }
 
 // ---------- CountTracker ----------
@@ -330,52 +279,6 @@ TEST_F(CountCacheTest, LruOrderEvictsColdest) {
   ASSERT_TRUE(cache.Get(2).ok());  // Reload.
   EXPECT_EQ(cache.misses(), misses_before + 1);
   EXPECT_DOUBLE_EQ(*cache.Get(2), 2.0);
-}
-
-// ---------- CountingSample ----------
-
-TEST(CountingSampleTest, TracksEverythingBelowCapacity) {
-  CountingSample sample(100);
-  for (int64_t k = 0; k < 50; ++k) {
-    sample.Observe(k);
-    sample.Observe(k);
-  }
-  EXPECT_EQ(sample.size(), 50u);
-  EXPECT_DOUBLE_EQ(sample.threshold(), 1.0);
-  for (int64_t k = 0; k < 50; ++k) {
-    EXPECT_DOUBLE_EQ(sample.EstimatedCount(k), 2.0);
-  }
-  EXPECT_DOUBLE_EQ(sample.EstimatedCount(999), 0.0);
-}
-
-TEST(CountingSampleTest, ThresholdRisesUnderPressure) {
-  CountingSample sample(10);
-  for (int64_t k = 0; k < 1000; ++k) sample.Observe(k);
-  EXPECT_LE(sample.size(), 10u);
-  EXPECT_GT(sample.threshold(), 1.0);
-}
-
-TEST(CountingSampleTest, HotKeysSurviveAndEstimatesTrack) {
-  const uint64_t n = 1000;
-  CountingSample sample(50, /*seed=*/3);
-  ZipfDistribution zipf(n, 1.3);
-  Rng rng(21);
-  const int draws = 200000;
-  std::vector<int> truth(n + 1, 0);
-  for (int i = 0; i < draws; ++i) {
-    int64_t k = static_cast<int64_t>(zipf.Sample(&rng));
-    ++truth[k];
-    sample.Observe(k);
-  }
-  // The hottest keys must be tracked, with estimates within a factor
-  // of ~2 of the truth.
-  for (int64_t k = 1; k <= 5; ++k) {
-    ASSERT_TRUE(sample.Tracks(k)) << k;
-    double est = sample.EstimatedCount(k);
-    EXPECT_GT(est, truth[k] * 0.5) << k;
-    EXPECT_LT(est, truth[k] * 2.0) << k;
-  }
-  EXPECT_EQ(sample.observed(), static_cast<uint64_t>(draws));
 }
 
 }  // namespace

@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -10,12 +8,9 @@
 #include "workload/boxoffice_trace.h"
 #include "workload/calgary_trace.h"
 #include "workload/key_generator.h"
-#include "workload/trace_io.h"
 
 namespace tarpit {
 namespace {
-
-namespace fs = std::filesystem;
 
 TEST(KeyGeneratorTest, ZipfKeysInRangeAndSkewed) {
   ZipfKeyGenerator gen(1000, 1.5);
@@ -150,41 +145,6 @@ TEST(BoxOfficeTraceTest, TopAnnualGrossInPaperBallpark) {
   double top = *std::max_element(annual.begin(), annual.end());
   EXPECT_GT(top, 150e6);
   EXPECT_LT(top, 800e6);
-}
-
-TEST(TraceIoTest, RoundTrip) {
-  auto dir = fs::temp_directory_path() /
-             ("tarpit_traceio_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  std::string path = (dir / "t.csv").string();
-  std::vector<TraceRequest> trace = {
-      {0.5, 10}, {1.25, 3}, {2.0, 10}, {7.75, 12179}};
-  ASSERT_TRUE(WriteTraceCsv(path, trace).ok());
-  auto back = ReadTraceCsv(path);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 4u);
-  EXPECT_DOUBLE_EQ((*back)[1].time_seconds, 1.25);
-  EXPECT_EQ((*back)[3].key, 12179);
-  fs::remove_all(dir);
-}
-
-TEST(TraceIoTest, RejectsMalformedFiles) {
-  auto dir = fs::temp_directory_path() /
-             ("tarpit_traceio_bad_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  std::string path = (dir / "bad.csv").string();
-  {
-    std::ofstream f(path);
-    f << "wrong,header\n1.0,2\n";
-  }
-  EXPECT_FALSE(ReadTraceCsv(path).ok());
-  {
-    std::ofstream f(path);
-    f << "time_seconds,key\nnot-a-number,2\n";
-  }
-  EXPECT_FALSE(ReadTraceCsv(path).ok());
-  EXPECT_FALSE(ReadTraceCsv((dir / "missing.csv").string()).ok());
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 //
 //   --port          frame-protocol port (default 7437; 0 = ephemeral).
 //   --http-port     /metrics HTTP port (default 7438; 0 = ephemeral).
-//   --loops         event-loop (reactor) threads (default 4).
+//   --loops         event-loop (reactor) threads, 1-1024 (default 4).
 //   --rows          seeded table size (default 4096).
 //   --delay-scale   popularity delay scale in seconds (default 0.05).
 //   --delay-min/max delay clamp bounds in seconds (default 0.02/5.0).
@@ -25,15 +25,21 @@
 //   --keepalive     kProgress keep-alive interval, seconds (default 5).
 //   --dir           database directory (default: fresh temp dir).
 //
+// Every value must parse in full: ports lie in 0-65535, durations are
+// finite and >= 0, and --delay-max is at least --delay-min. A bad flag
+// prints a message and exits 2 before anything is opened.
+//
 // SIGINT/SIGTERM stop the server with the documented drain ordering:
 // stop accepting, cancel every parked stall (charges stay on the
 // books), then stop the reactors and tear down the database.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -66,6 +72,31 @@ struct Args {
   std::string dir;
 };
 
+// Upper bound on --loops: each loop is a reactor thread.
+constexpr long long kMaxLoops = 1024;
+
+// Parses the whole of `s` as a decimal integer in [lo, hi].
+bool ParseInt(const char* s, long long lo, long long hi, long long* out) {
+  const char* end = s + std::strlen(s);
+  long long v = 0;
+  auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+// Parses the whole of `s` as a finite, non-negative number of seconds.
+bool ParseSeconds(const char* s, double* out) {
+  const char* end = s + std::strlen(s);
+  double v = 0;
+  auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end || !std::isfinite(v) || v < 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Args* out) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -73,30 +104,45 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    long long n = 0;
+    bool ok = true;
     if (const char* v = val("--port=")) {
-      out->port = static_cast<uint16_t>(std::atoi(v));
+      ok = ParseInt(v, 0, 65535, &n);
+      out->port = static_cast<uint16_t>(n);
     } else if (const char* v = val("--http-port=")) {
-      out->http_port = static_cast<uint16_t>(std::atoi(v));
+      ok = ParseInt(v, 0, 65535, &n);
+      out->http_port = static_cast<uint16_t>(n);
     } else if (const char* v = val("--loops=")) {
-      out->loops = static_cast<size_t>(std::atol(v));
+      ok = ParseInt(v, 1, kMaxLoops, &n);
+      out->loops = static_cast<size_t>(n);
     } else if (const char* v = val("--rows=")) {
-      out->rows = std::atoi(v);
+      ok = ParseInt(v, 0, std::numeric_limits<int>::max(), &n);
+      out->rows = static_cast<int>(n);
     } else if (const char* v = val("--delay-scale=")) {
-      out->delay_scale = std::atof(v);
+      ok = ParseSeconds(v, &out->delay_scale);
     } else if (const char* v = val("--delay-min=")) {
-      out->delay_min = std::atof(v);
+      ok = ParseSeconds(v, &out->delay_min);
     } else if (const char* v = val("--delay-max=")) {
-      out->delay_max = std::atof(v);
+      ok = ParseSeconds(v, &out->delay_max);
     } else if (const char* v = val("--accept-delay=")) {
-      out->accept_delay = std::atof(v);
+      ok = ParseSeconds(v, &out->accept_delay);
     } else if (const char* v = val("--keepalive=")) {
-      out->keepalive = std::atof(v);
+      ok = ParseSeconds(v, &out->keepalive);
     } else if (const char* v = val("--dir=")) {
       out->dir = v;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "invalid value: %s\n", arg.c_str());
+      return false;
+    }
+  }
+  if (out->delay_max < out->delay_min) {
+    std::fprintf(stderr, "--delay-max=%g is below --delay-min=%g\n",
+                 out->delay_max, out->delay_min);
+    return false;
   }
   return true;
 }
