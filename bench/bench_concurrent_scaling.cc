@@ -123,6 +123,10 @@ RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
   fs::create_directories(dir);
 
   RealClock clock;
+  // The row-cache counts are registry series: every run counts them,
+  // into the caller's registry or a run-local one.
+  obs::MetricRegistry run_metrics;
+  if (metrics == nullptr) metrics = &run_metrics;
   ConcurrentDatabaseOptions copts = MakeConcurrentOptions(mode);
   copts.metrics = metrics;
   auto opened = ConcurrentProtectedDatabase::Open(
@@ -171,8 +175,11 @@ RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
   res.qps = total_ops / elapsed;
   res.per_thread_qps = res.qps / threads;
   for (double d : delays) res.total_delay += d;
-  res.cache_hits = db->row_cache_hits();
-  res.cache_misses = db->row_cache_misses();
+  const obs::RegistrySnapshot snap = metrics->Snapshot();
+  res.cache_hits =
+      static_cast<uint64_t>(snap.Total("tarpit_row_cache_hits_total"));
+  res.cache_misses =
+      static_cast<uint64_t>(snap.Total("tarpit_row_cache_misses_total"));
   res.epoch_flushes = db->stats_epoch_flushes();
   db.reset();
   fs::remove_all(dir);

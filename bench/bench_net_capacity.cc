@@ -364,7 +364,8 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
   }
   res.ops = static_cast<size_t>(ops);
   res.measured_delay = db->Metrics().total_delay_seconds - charged_before;
-  res.hangups_seen = served.server->hangups_mid_stall();
+  res.hangups_seen = static_cast<uint64_t>(
+      metrics.Snapshot().Total("tarpit_net_hangups_mid_stall_total"));
   res.drift = res.oracle_delay <= 0
                   ? 1.0
                   : std::fabs(res.measured_delay - res.oracle_delay) /

@@ -262,7 +262,8 @@ int main() {
     watchdog.RunOnce(clock.NowMicros());
     watchdog_healthy = watchdog.healthy();
     watchdog_passes = watchdog.passes_total();
-    risk_observations = risk.observations_total();
+    risk_observations = static_cast<uint64_t>(
+        fregistry.Snapshot().Total("tarpit_risk_observations_total"));
     db.reset();
   }
 

@@ -13,6 +13,15 @@ namespace tarpit {
 
 namespace {
 
+/// Per-stripe row-cache bound; a stripe is dropped wholesale when it
+/// fills (crude but O(1) and correct -- invalidation also clears).
+constexpr size_t kRowCacheCapacityPerShard = size_t{1} << 14;
+
+/// Lock stripes in the version store (chain map shards). Every
+/// GetByKey probes a stripe, so striping scales with the read side,
+/// not the (single-leader) write side.
+constexpr size_t kVersionStoreStripes = 64;
+
 /// splitmix64 finalizer (keys are often sequential).
 uint64_t Mix(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -93,7 +102,7 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     ConcurrentDatabaseOptions concurrent_options)
     : inner_(std::move(inner)),
       concurrent_options_(concurrent_options),
-      version_store_(concurrent_options.version_store_stripes) {
+      version_store_(kVersionStoreStripes) {
   if (concurrent_options_.num_shards == 0) {
     concurrent_options_.num_shards = 1;
   }
@@ -164,11 +173,16 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     // The scheduler reads its registry from its own options; thread it
     // through so callers set one pointer, not two.
     concurrent_options_.scheduler.metrics = m;
-    m_mvcc_installed_ = m->GetCounter("tarpit_mvcc_versions_installed_total");
-    m_mvcc_applied_ = m->GetCounter("tarpit_mvcc_versions_applied_total");
-    m_mvcc_reclaimed_ = m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
+    // The version store and the epoch manager count their own events.
+    obs::Counter* installed =
+        m->GetCounter("tarpit_mvcc_versions_installed_total");
+    obs::Counter* applied =
+        m->GetCounter("tarpit_mvcc_versions_applied_total");
+    obs::Counter* reclaimed =
+        m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
+    version_store_.BindMetrics(installed, applied, reclaimed);
     m_mvcc_reclaim_passes_ = m->GetCounter("tarpit_mvcc_reclaim_passes_total");
-    m_mvcc_pins_ = m->GetCounter("tarpit_mvcc_snapshot_pins_total");
+    epoch_mgr_.BindMetrics(m->GetCounter("tarpit_mvcc_snapshot_pins_total"));
     m_write_batches_ = m->GetCounter("tarpit_write_batches_total");
     m_ddl_fences_ = m->GetCounter("tarpit_mvcc_ddl_fences_total");
     m_mvcc_live_versions_ = m->GetGauge("tarpit_mvcc_live_versions");
@@ -454,8 +468,7 @@ void ConcurrentProtectedDatabase::EraseCachedRow(int64_t key) {
 
 void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
                                                   const Row& row) {
-  const size_t cap = concurrent_options_.row_cache_capacity_per_shard;
-  if (row_stripes_.empty() || cap == 0) return;
+  if (row_stripes_.empty()) return;
   RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.rows.find(key);
@@ -463,7 +476,7 @@ void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
     it->second = row;  // Overwrite: the entry may hold the pre-apply image.
     return;
   }
-  if (stripe.rows.size() >= cap) stripe.rows.clear();
+  if (stripe.rows.size() >= kRowCacheCapacityPerShard) stripe.rows.clear();
   stripe.rows.emplace(key, row);
 }
 
@@ -551,7 +564,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
         break;
       }
     }
-    write_batches_.fetch_add(1, std::memory_order_relaxed);
     if (m_write_batches_ != nullptr) m_write_batches_->Increment();
     if (m_write_batch_ops_ != nullptr) {
       m_write_batch_ops_->Record(static_cast<int64_t>(batch.size()));
@@ -590,7 +602,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   auto install = [&](int64_t key, bool tombstone, Row row) {
     version_store_.Install(key, epoch, tombstone, std::move(row));
     ++installed;
-    if (m_mvcc_installed_ != nullptr) m_mvcc_installed_->Increment();
     // Commit-time precision invalidation: the cached image is now
     // stale for any snapshot that will see this epoch.
     EraseCachedRow(key);
@@ -792,7 +803,6 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
                                      ? table->ApplyDeleteUnlogged(key)
                                      : table->ApplyUpsertUnlogged(row));
         }
-        if (m_mvcc_applied_ != nullptr) m_mvcc_applied_->Increment();
         // apply -> cache refresh -> unlink: a fill that cached the
         // pre-apply base image is replaced here, before the chain
         // entry that shadowed it disappears. Refilling (rather than
@@ -808,12 +818,6 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
         }
         return Status::OK();
       });
-  const uint64_t total = version_store_.reclaimed_total();
-  if (m_mvcc_reclaimed_ != nullptr && total > reclaimed_seen_) {
-    m_mvcc_reclaimed_->Increment(
-        static_cast<int64_t>(total - reclaimed_seen_));
-  }
-  reclaimed_seen_ = total;
   if (m_mvcc_live_versions_ != nullptr) {
     m_mvcc_live_versions_->Set(
         static_cast<int64_t>(version_store_.live_versions()));
@@ -953,7 +957,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
     Row row;
     bool resolved = false;
     EpochManager::Snapshot snap = epoch_mgr_.Pin();
-    if (m_mvcc_pins_ != nullptr) m_mvcc_pins_->Increment();
     // Empty-store fast path: the pin's acquire edge means a chain
     // lookup can only find versions installed before the pinned
     // epoch's publish, and every such install incremented
@@ -984,7 +987,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
         }
       }
       if (hit) {
-        row_cache_hits_.fetch_add(1, std::memory_order_relaxed);
         if (m_row_hits_ != nullptr) m_row_hits_->Increment();
       } else {
         Result<Row> fetched = Status::Internal("unset");
@@ -999,15 +1001,12 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
         }
         if (!fetched.ok()) return fetched.status();
         row = std::move(*fetched);
-        row_cache_misses_.fetch_add(1, std::memory_order_relaxed);
         if (m_row_misses_ != nullptr) m_row_misses_->Increment();
-        const size_t cap =
-            concurrent_options_.row_cache_capacity_per_shard;
-        if (cap > 0) {
-          std::lock_guard<std::mutex> lock(stripe.mu);
-          if (stripe.rows.size() >= cap) stripe.rows.clear();
-          stripe.rows.emplace(key, row);
+        std::lock_guard<std::mutex> lock(stripe.mu);
+        if (stripe.rows.size() >= kRowCacheCapacityPerShard) {
+          stripe.rows.clear();
         }
+        stripe.rows.emplace(key, row);
       }
     }
     // The row (and any cache fill) is consistent with the pinned
@@ -1128,7 +1127,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
       // stays fail-closed.
       std::lock_guard<std::mutex> writer(writer_mu_);
       TARPIT_RETURN_IF_ERROR(DrainVersions());
-      ddl_fences_.fetch_add(1, std::memory_order_relaxed);
       if (m_ddl_fences_ != nullptr) m_ddl_fences_->Increment();
     }
     result = prep != nullptr ? inner_->ExecutePrepared(*prep)

@@ -63,10 +63,6 @@ struct ConcurrentDatabaseOptions {
   /// Requests a stats stripe batches before merging into the rank
   /// index (the epoch; bounds rank/f_max staleness).
   size_t epoch_batch = 64;
-  /// Per-stripe row-cache bound; a stripe is dropped wholesale when it
-  /// fills (crude but O(1) and correct -- invalidation also clears).
-  /// 0 disables row caching (every read goes to storage).
-  size_t row_cache_capacity_per_shard = 1 << 14;
   /// When false, delays are computed and accounted but not slept --
   /// for benches/simulations that measure rather than stall.
   bool serve_delays = true;
@@ -79,10 +75,6 @@ struct ConcurrentDatabaseOptions {
   /// DDL fences). Driven by the injected Clock, never the wall clock,
   /// so VirtualClock tests reclaim deterministically.
   int64_t mvcc_reclaim_interval_micros = 0;
-  /// Lock stripes in the version store (chain map shards). Sized like
-  /// num_shards: every GetByKey probes a stripe, so striping must
-  /// scale with the read side, not the (single-leader) write side.
-  size_t version_store_stripes = 64;
   /// Async stall scheduling: stalls park on a DelayScheduler (timer
   /// wheel + one driver thread) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
@@ -278,13 +270,9 @@ class ConcurrentProtectedDatabase {
     return in_flight_.load(std::memory_order_relaxed);
   }
 
-  /// Observability for the scaling bench.
-  uint64_t row_cache_hits() const {
-    return row_cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t row_cache_misses() const {
-    return row_cache_misses_.load(std::memory_order_relaxed);
-  }
+  /// Observability for the scaling bench. Event counts (row-cache
+  /// hits and misses, write batches, DDL fences, MVCC versions and
+  /// pins) are series in `metrics`.
   uint64_t stats_epoch_flushes() const {
     return stats_tracker_ ? stats_tracker_->epoch_flushes() : 0;
   }
@@ -301,14 +289,6 @@ class ConcurrentProtectedDatabase {
   /// Published version-store commits (one per lowered DML statement).
   uint64_t mvcc_commits() const {
     return mvcc_commits_.load(std::memory_order_relaxed);
-  }
-  /// Leader passes through the write batcher.
-  uint64_t write_batches() const {
-    return write_batches_.load(std::memory_order_relaxed);
-  }
-  /// Version-store drains forced by exclusive-path statements.
-  uint64_t ddl_fences() const {
-    return ddl_fences_.load(std::memory_order_relaxed);
   }
   /// Logical row count of the protected table: base rows plus the
   /// unreclaimed version-store effects (NumRows() alone goes stale
@@ -452,13 +432,19 @@ class ConcurrentProtectedDatabase {
   // sharded buffer pool makes that safe -- while in-region storage
   // writers (count-cache flush hook) hold it exclusive. Mutating SQL
   // excludes everything via ddl_mu_ and needs no storage lock.
-  std::shared_mutex ddl_mu_;
-  std::shared_mutex storage_mu_;
+  // Members written on every request or commit (these locks,
+  // in_flight_) start their own cache lines, apart from each other and
+  // from what every request only reads (the epoch manager, the
+  // instrument pointers), so deleting or adding a member cannot move
+  // them onto a shared line (false sharing showed in perfbench's
+  // hot_get and cold_mixed).
+  alignas(64) std::shared_mutex ddl_mu_;
+  alignas(64) std::shared_mutex storage_mu_;
   /// Serializes version-store commits, reclamation and drains against
   /// each other, and (held across the scan) pins SELECTs to a drained
   /// store. Order: ddl_mu_ -> writer_mu_ -> spine -> update_stats_mu_
   /// -> storage_mu_. GetByKey never takes it.
-  std::mutex writer_mu_;
+  alignas(64) std::mutex writer_mu_;
   /// Guards the inner update tracker / update policy: the commit
   /// leader and SELECTs write them exclusively, GetByKey's
   /// DelayForAccessStats reads them shared -- but only in the modes
@@ -471,16 +457,13 @@ class ConcurrentProtectedDatabase {
   /// sharded read path asks the stats spine for a rank-free snapshot
   /// and the treap never appears on the read path.
   bool reads_need_rank_ = true;
-  EpochManager epoch_mgr_;
+  alignas(64) EpochManager epoch_mgr_;
   VersionStore version_store_;
   std::atomic<uint64_t> logical_rows_{0};
   std::atomic<uint64_t> mvcc_commits_{0};
-  std::atomic<uint64_t> write_batches_{0};
-  std::atomic<uint64_t> ddl_fences_{0};
   // Reclaim cadence + deferred-failure state. Guarded by writer_mu_.
   uint64_t commits_since_reclaim_ = 0;
   int64_t last_reclaim_micros_ = 0;
-  uint64_t reclaimed_seen_ = 0;
   Status deferred_mvcc_status_ = Status::OK();
   // Write batcher (leader/follower combining). Guarded by batch_mu_.
   std::mutex batch_mu_;
@@ -490,9 +473,7 @@ class ConcurrentProtectedDatabase {
   std::unique_ptr<ConcurrentCountTracker> stats_tracker_;
   std::vector<std::unique_ptr<RowStripe>> row_stripes_;
   std::vector<std::unique_ptr<AcctStripe>> acct_stripes_;
-  std::atomic<uint64_t> row_cache_hits_{0};
-  std::atomic<uint64_t> row_cache_misses_{0};
-  std::atomic<int> in_flight_{0};
+  alignas(64) std::atomic<int> in_flight_{0};
 
   /// Emits one forensic event (no-op when the ring is off).
   void EmitEvent(obs::DefenseEventType type, uint64_t principal,
@@ -500,7 +481,7 @@ class ConcurrentProtectedDatabase {
 
   // Registry-owned instruments (null when metrics are off) and the
   // trace terminal (null when tracing is off).
-  obs::DefenseEventRing* events_ = nullptr;
+  alignas(64) obs::DefenseEventRing* events_ = nullptr;
   obs::TraceSink* sink_ = nullptr;
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;
@@ -509,11 +490,7 @@ class ConcurrentProtectedDatabase {
   obs::Counter* m_rep_escalated_ = nullptr;
   obs::Histogram* m_delay_charged_ns_ = nullptr;
   // MVCC / write-path instruments (null when metrics are off).
-  obs::Counter* m_mvcc_installed_ = nullptr;
-  obs::Counter* m_mvcc_applied_ = nullptr;
-  obs::Counter* m_mvcc_reclaimed_ = nullptr;
   obs::Counter* m_mvcc_reclaim_passes_ = nullptr;
-  obs::Counter* m_mvcc_pins_ = nullptr;
   obs::Counter* m_write_batches_ = nullptr;
   obs::Counter* m_ddl_fences_ = nullptr;
   obs::Gauge* m_mvcc_live_versions_ = nullptr;

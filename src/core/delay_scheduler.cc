@@ -82,11 +82,9 @@ TimerId DelayScheduler::Submit(double delay_seconds, Callback done,
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!stop_) {
-      ++scheduled_total_;
       if (m_scheduled_ != nullptr) m_scheduled_->Increment();
       const TimerId id = next_id_++;
       if (virtual_ || delay_us == 0) {
-        ++fired_total_;
         if (m_fired_ != nullptr) m_fired_->Increment();
         if (virtual_) {
           // Instant fire: virtual time charges without waiting. FIFO
@@ -242,25 +240,10 @@ size_t DelayScheduler::peak_parked() const {
   std::lock_guard<std::mutex> lock(mu_);
   return peak_parked_;
 }
-uint64_t DelayScheduler::scheduled_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return scheduled_total_;
-}
-uint64_t DelayScheduler::fired_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fired_total_;
-}
-uint64_t DelayScheduler::cancelled_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cancelled_total_;
-}
 uint64_t DelayScheduler::cascades() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cascades_;
-}
-uint64_t DelayScheduler::overflow_promotions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return overflow_promotions_;
+  return m_cascades_ != nullptr
+             ? static_cast<uint64_t>(m_cascades_->Value())
+             : 0;
 }
 
 // --- Wheel mechanics (mu_ held). -----------------------------------------
@@ -370,7 +353,6 @@ void DelayScheduler::CascadeLocked(size_t level) {
   Entry* node = wheel_[level][idx];
   if (node == nullptr) return;
   wheel_[level][idx] = nullptr;
-  ++cascades_;
   if (m_cascades_ != nullptr) m_cascades_->Increment();
   while (node != nullptr) {
     Entry* next = node->next;
@@ -388,7 +370,6 @@ void DelayScheduler::PromoteOverflowLocked() {
     std::pop_heap(overflow_.begin(), overflow_.end(), DeadlineGreater{});
     Entry* e = overflow_.back();
     overflow_.pop_back();
-    ++overflow_promotions_;
     if (m_overflow_promotions_ != nullptr) {
       m_overflow_promotions_->Increment();
     }
@@ -485,12 +466,8 @@ void DelayScheduler::CompleteLocked(std::vector<Entry*>* entries,
       options_.metrics != nullptr ? clock_->NowMicros() : 0;
   for (Entry* e : *entries) {
     entries_.erase(e->id);
-    if (cancelled) {
-      ++cancelled_total_;
-      if (m_cancelled_ != nullptr) m_cancelled_->Increment();
-    } else {
-      ++fired_total_;
-      if (m_fired_ != nullptr) m_fired_->Increment();
+    if (obs::Counter* c = cancelled ? m_cancelled_ : m_fired_) {
+      c->Increment();
     }
     if (options_.metrics != nullptr) {
       m_park_micros_->Record(

@@ -120,18 +120,16 @@ class DelayScheduler {
   /// Stops the scheduler. Idempotent; joins the driver.
   void Shutdown(ShutdownMode mode = ShutdownMode::kCancelPending);
 
-  // --- Observability (locked snapshots). ---------------------------------
+  // --- Observability. ------------------------------------------------------
+  // Event counts (scheduled, fired, cancelled, cascades, overflow
+  // promotions) are the tarpit_scheduler_* series in options.metrics.
   /// Stalls currently parked on the wheel or overflow heap.
   size_t parked() const;
   /// High-water mark of parked() -- the bench's capacity metric.
   size_t peak_parked() const;
-  uint64_t scheduled_total() const;
-  uint64_t fired_total() const;
-  uint64_t cancelled_total() const;
-  /// Level>0 slot drains (entries re-filed toward level 0).
+  /// Level>0 slot drains (entries re-filed toward level 0): reads
+  /// tarpit_scheduler_cascades_total, so it is 0 without a registry.
   uint64_t cascades() const;
-  /// Overflow-heap entries promoted onto the wheel.
-  uint64_t overflow_promotions() const;
   /// Micros covered by the wheel before the overflow heap takes over.
   int64_t horizon_micros() const { return span_ticks_ * tick_micros_; }
   const DelaySchedulerOptions& options() const { return options_; }
@@ -219,11 +217,6 @@ class DelayScheduler {
   std::vector<Completion> ready_;
   size_t executing_ = 0;
   size_t peak_parked_ = 0;
-  uint64_t scheduled_total_ = 0;
-  uint64_t fired_total_ = 0;
-  uint64_t cancelled_total_ = 0;
-  uint64_t cascades_ = 0;
-  uint64_t overflow_promotions_ = 0;
 
   // Registry-owned instruments; null when options_.metrics is null so
   // the unobserved hot path pays a single pointer test.

@@ -11,16 +11,14 @@ ResourceGovernor::ResourceGovernor(ResourceGovernorOptions options)
     m_peak_parked_stalls_ =
         m->GetGauge("tarpit_governor_peak_parked_stalls");
     m_admitted_ = m->GetCounter("tarpit_governor_admitted_total");
-  }
-}
-
-void ResourceGovernor::CountShed(const char* reason) {
-  // mu_ held by callers.
-  ++shed_total_;
-  if (options_.metrics != nullptr) {
-    options_.metrics
-        ->GetCounter("tarpit_governor_shed_total", {{"reason", reason}})
-        ->Increment();
+    auto shed = [m](const char* reason) {
+      return m->GetCounter("tarpit_governor_shed_total",
+                           {{"reason", reason}});
+    };
+    m_shed_parked_stalls_ = shed("parked_stalls");
+    m_shed_parked_bytes_ = shed("parked_bytes");
+    m_shed_wal_backlog_ = shed("wal_backlog");
+    m_shed_live_versions_ = shed("live_versions");
   }
 }
 
@@ -29,21 +27,20 @@ Status ResourceGovernor::AdmitStall(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.max_parked_stalls != 0 &&
       parked_stalls_ >= options_.max_parked_stalls) {
-    CountShed("parked_stalls");
+    if (m_shed_parked_stalls_ != nullptr) m_shed_parked_stalls_->Increment();
     return Status::Overloaded(
         "parked-stall budget exhausted (" +
         std::to_string(options_.max_parked_stalls) + " stalls)");
   }
   if (options_.max_parked_bytes != 0 &&
       parked_bytes_ + b > options_.max_parked_bytes) {
-    CountShed("parked_bytes");
+    if (m_shed_parked_bytes_ != nullptr) m_shed_parked_bytes_->Increment();
     return Status::Overloaded(
         "parked-stall memory budget exhausted (" +
         std::to_string(options_.max_parked_bytes) + " bytes)");
   }
   ++parked_stalls_;
   parked_bytes_ += b;
-  ++admitted_total_;
   if (parked_stalls_ > peak_parked_stalls_) {
     peak_parked_stalls_ = parked_stalls_;
     if (m_peak_parked_stalls_ != nullptr) {
@@ -80,7 +77,7 @@ Status ResourceGovernor::CheckWrite(uint64_t wal_backlog_bytes,
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.max_wal_backlog_bytes != 0 &&
       wal_backlog_bytes > options_.max_wal_backlog_bytes) {
-    CountShed("wal_backlog");
+    if (m_shed_wal_backlog_ != nullptr) m_shed_wal_backlog_->Increment();
     return Status::Overloaded(
         "wal backlog " + std::to_string(wal_backlog_bytes) +
         " bytes over budget (" +
@@ -88,7 +85,9 @@ Status ResourceGovernor::CheckWrite(uint64_t wal_backlog_bytes,
   }
   if (options_.max_live_versions != 0 &&
       live_versions > options_.max_live_versions) {
-    CountShed("live_versions");
+    if (m_shed_live_versions_ != nullptr) {
+      m_shed_live_versions_->Increment();
+    }
     return Status::Overloaded(
         "version store " + std::to_string(live_versions) +
         " live versions over budget (" +
@@ -115,16 +114,6 @@ uint64_t ResourceGovernor::peak_parked_stalls() const {
 uint64_t ResourceGovernor::peak_parked_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return peak_parked_bytes_;
-}
-
-uint64_t ResourceGovernor::admitted_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_total_;
-}
-
-uint64_t ResourceGovernor::shed_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_total_;
 }
 
 }  // namespace tarpit

@@ -75,8 +75,6 @@ class ResourceGovernor {
   /// over a nonzero budget means an admission raced past its cap.
   uint64_t peak_parked_stalls() const;
   uint64_t peak_parked_bytes() const;
-  uint64_t admitted_total() const;
-  uint64_t shed_total() const;
 
   const ResourceGovernorOptions& options() const { return options_; }
 
@@ -84,7 +82,6 @@ class ResourceGovernor {
   uint64_t EffectiveBytes(uint64_t bytes) const {
     return bytes != 0 ? bytes : options_.stall_bytes_estimate;
   }
-  void CountShed(const char* reason);
 
   ResourceGovernorOptions options_;
 
@@ -93,13 +90,16 @@ class ResourceGovernor {
   uint64_t parked_bytes_ = 0;
   uint64_t peak_parked_stalls_ = 0;
   uint64_t peak_parked_bytes_ = 0;
-  uint64_t admitted_total_ = 0;
-  uint64_t shed_total_ = 0;
 
   obs::Gauge* m_parked_stalls_ = nullptr;
   obs::Gauge* m_parked_bytes_ = nullptr;
   obs::Gauge* m_peak_parked_stalls_ = nullptr;
   obs::Counter* m_admitted_ = nullptr;
+  // tarpit_governor_shed_total{reason}, one per budget.
+  obs::Counter* m_shed_parked_stalls_ = nullptr;
+  obs::Counter* m_shed_parked_bytes_ = nullptr;
+  obs::Counter* m_shed_wal_backlog_ = nullptr;
+  obs::Counter* m_shed_live_versions_ = nullptr;
 };
 
 }  // namespace tarpit

@@ -329,12 +329,7 @@ size_t ReputationStore::tracked_subnets() const {
   return subnets_.size();
 }
 
-uint64_t ReputationStore::signals_total() const {
-  return signal_count_.load(std::memory_order_relaxed);
-}
-
 void ReputationStore::CountSignal(ReputationSignal source, uint64_t n) {
-  signal_count_.fetch_add(n, std::memory_order_relaxed);
   obs::Counter* c = nullptr;
   switch (source) {
     case ReputationSignal::kBreadth:

@@ -131,7 +131,6 @@ class ReputationStore : public PrincipalPenalty {
 
   size_t tracked_identities() const;
   size_t tracked_subnets() const;
-  uint64_t signals_total() const;
   const ReputationOptions& options() const { return options_; }
 
  private:
@@ -178,7 +177,6 @@ class ReputationStore : public PrincipalPenalty {
   /// Total entries across identity shards, maintained at insert and
   /// erase so tracked_identities() never needs every shard lock.
   std::atomic<size_t> identity_count_{0};
-  std::atomic<uint64_t> signal_count_{0};
   std::vector<std::unique_ptr<Shard>> identity_shards_;
   mutable std::mutex subnet_mu_;
   /// Guarded by subnet_mu_; mutable because const readers apply lazy

@@ -23,6 +23,8 @@ namespace {
 constexpr uint32_t kBaseEvents = EPOLLIN | EPOLLRDHUP | EPOLLET;
 constexpr size_t kReadChunk = 16 * 1024;
 constexpr size_t kMaxHttpRequestBytes = 8 * 1024;
+// Upper bound on one delay-before-serve park, whatever the factor.
+constexpr double kAcceptDelayCapSeconds = 30.0;
 
 /// Rows as text: one row per line, values tab-separated; a leading
 /// comma-joined column header line when the result carries one.
@@ -248,17 +250,10 @@ void TarpitServer::HandleAccept(int listen_fd, bool http) {
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     });
     if (fd < 0) return;  // EAGAIN: burst drained (or socket dying).
-    accepted_.fetch_add(1, std::memory_order_relaxed);
     if (http) {
       if (m_accepted_http_ != nullptr) m_accepted_http_->Increment();
     } else if (m_accepted_frame_ != nullptr) {
       m_accepted_frame_->Increment();
-    }
-    if (options_.max_connections != 0 &&
-        active_.load(std::memory_order_relaxed) >=
-            options_.max_connections) {
-      CloseFd(fd);
-      continue;
     }
     const size_t li =
         next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
@@ -314,7 +309,6 @@ void TarpitServer::CloseConn(Conn* conn, bool peer_hangup) {
   const bool busy = conn->state == Conn::State::kBusy;
   if (busy) {
     if (peer_hangup) {
-      hangups_mid_stall_.fetch_add(1, std::memory_order_relaxed);
       if (m_hangups_mid_stall_ != nullptr) m_hangups_mid_stall_->Increment();
       // Disconnect-and-retry gains nothing: the parked stall is
       // cancelled below (charge kept, tuple withheld) and the
@@ -494,8 +488,7 @@ bool TarpitServer::StartHello(Conn* conn, const Frame& frame) {
       factor >= options_.accept_delay_threshold) {
     const double delay =
         std::min(options_.accept_delay_seconds * factor,
-                 options_.accept_delay_cap_seconds);
-    accept_delays_.fetch_add(1, std::memory_order_relaxed);
+                 kAcceptDelayCapSeconds);
     if (m_accept_delays_ != nullptr) m_accept_delays_->Increment();
     conn->state = Conn::State::kBusy;
     conn->park_start_micros = EventLoop::NowMicros();
@@ -611,7 +604,6 @@ bool TarpitServer::WriteResponse(Conn* conn, Result<ProtectedResult> result) {
   }
   DisarmKeepalive(conn);
   conn->state = Conn::State::kReadFrame;
-  responses_.fetch_add(1, std::memory_order_relaxed);
   if (result.ok()) {
     if (m_responses_ok_ != nullptr) m_responses_ok_->Increment();
     const std::string text = SerializeResult(result->result);
@@ -670,7 +662,6 @@ bool TarpitServer::FlushConn(Conn* conn) {
   // Backpressure: bounded buffering, EPOLLOUT-driven resumption. A
   // peer that stops reading cannot grow our memory past the cap.
   if (conn->out.size() - conn->out_pos > options_.max_write_buffer_bytes) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     if (m_err_backpressure_ != nullptr) m_err_backpressure_->Increment();
     CloseConn(conn, /*peer_hangup=*/false);
     return false;
@@ -738,7 +729,6 @@ void TarpitServer::OnKeepalive(size_t loop_index, uint64_t conn_id) {
   if (conn->state != Conn::State::kBusy) return;  // Raced completion.
   // mopher-style 1-byte progress frame: proxies and client timeouts
   // see liveness, the stall itself is never shortened.
-  keepalives_.fetch_add(1, std::memory_order_relaxed);
   if (m_keepalives_ != nullptr) m_keepalives_->Increment();
   SendFrame(conn, FrameType::kProgress, ".");
   if (!FlushConn(conn)) return;
@@ -802,7 +792,6 @@ void TarpitServer::MarkParked(bool parked) {
 bool TarpitServer::ProtocolError(Conn* conn, StatusCode code,
                                  const std::string& message,
                                  obs::Counter* reason) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   if (reason != nullptr) reason->Increment();
   SendFrame(conn, FrameType::kError,
             ErrorPayload(static_cast<uint8_t>(code), message));

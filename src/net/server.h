@@ -41,9 +41,6 @@ struct TarpitServerOptions {
   /// while responses accumulate past this is closed (backpressure is
   /// bounded memory, not unbounded queueing).
   size_t max_write_buffer_bytes = 1 << 20;
-  /// Hard cap on concurrent connections (0 = unlimited). Excess
-  /// accepts are closed immediately.
-  size_t max_connections = 0;
   /// SO_SNDBUF for accepted frame connections (0 = kernel default).
   /// Bounding kernel-side send memory matters at 100k parked
   /// connections, and makes write backpressure deterministic in tests.
@@ -60,11 +57,10 @@ struct TarpitServerOptions {
   double keepalive_interval_seconds = 5.0;
   /// Delayer-style delay-before-serve: when a principal's reputation
   /// factor is >= accept_delay_threshold at Hello time, the HelloAck
-  /// is parked for accept_delay_seconds * factor (capped) BEFORE any
-  /// query is served. 0 disables.
+  /// is parked for accept_delay_seconds * factor (capped at 30 s)
+  /// BEFORE any query is served. 0 disables.
   double accept_delay_seconds = 0.0;
   double accept_delay_threshold = 1.5;
-  double accept_delay_cap_seconds = 30.0;
   /// Bound on frames a client may pipeline while a request is in
   /// flight; past it the connection is closed as abusive.
   size_t max_pipelined_frames = 64;
@@ -117,7 +113,8 @@ class TarpitServer {
   uint16_t port() const { return port_; }
   uint16_t http_port() const { return actual_http_port_; }
 
-  // -- Observability (atomics; the registry carries the same). -------
+  // -- Connection state (levels, not event counts: the event counts
+  // are the tarpit_net_* series in options.metrics). -----------------
   size_t active_connections() const {
     return active_.load(std::memory_order_relaxed);
   }
@@ -126,24 +123,6 @@ class TarpitServer {
   }
   size_t peak_parked_connections() const {
     return peak_parked_.load(std::memory_order_relaxed);
-  }
-  uint64_t accepted_total() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-  uint64_t responses_sent() const {
-    return responses_.load(std::memory_order_relaxed);
-  }
-  uint64_t keepalives_sent() const {
-    return keepalives_.load(std::memory_order_relaxed);
-  }
-  uint64_t hangups_mid_stall() const {
-    return hangups_mid_stall_.load(std::memory_order_relaxed);
-  }
-  uint64_t protocol_errors() const {
-    return protocol_errors_.load(std::memory_order_relaxed);
-  }
-  uint64_t accept_delays() const {
-    return accept_delays_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -229,20 +208,18 @@ class TarpitServer {
   /// loop). Stop() waits for this to hit zero after cancelling
   /// sessions, which is what makes "drain connections BEFORE the
   /// scheduler dies" a guarantee instead of a convention.
-  std::atomic<uint64_t> inflight_engine_{0};
+  /// Every loop thread writes it twice per request, so it and the
+  /// levels below sit on their own cache line, apart from the members
+  /// above and from the instrument pointers that every request reads
+  /// (false sharing with those showed in perfbench's hot_get).
+  alignas(64) std::atomic<uint64_t> inflight_engine_{0};
 
   std::atomic<size_t> active_{0};
   std::atomic<size_t> parked_{0};
   std::atomic<size_t> peak_parked_{0};
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> responses_{0};
-  std::atomic<uint64_t> keepalives_{0};
-  std::atomic<uint64_t> hangups_mid_stall_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> accept_delays_{0};
 
   // Registry-owned instruments (null when metrics are off).
-  obs::Counter* m_accepted_frame_ = nullptr;
+  alignas(64) obs::Counter* m_accepted_frame_ = nullptr;
   obs::Counter* m_accepted_http_ = nullptr;
   obs::Counter* m_frames_ = nullptr;
   obs::Counter* m_responses_ok_ = nullptr;

@@ -208,6 +208,14 @@ const MetricSnapshot* RegistrySnapshot::Find(std::string_view name,
   return nullptr;
 }
 
+int64_t RegistrySnapshot::Total(std::string_view name) const {
+  int64_t total = 0;
+  for (const MetricSnapshot& m : metrics) {
+    if (m.name == name) total += m.value;
+  }
+  return total;
+}
+
 MetricRegistry::Entry* MetricRegistry::GetOrCreate(
     std::string_view name, Labels* labels, MetricKind kind,
     const HistogramOptions* hopts) {

@@ -176,6 +176,9 @@ struct RegistrySnapshot {
 
   const MetricSnapshot* Find(std::string_view name,
                              const Labels& labels = {}) const;
+  /// Sum of a counter or gauge over all of its label sets (0 when
+  /// `name` is not registered).
+  int64_t Total(std::string_view name) const;
 };
 
 /// Process-wide metric namespace: name + labels -> one Counter, Gauge

@@ -112,7 +112,6 @@ RiskScorer::Entry* RiskScorer::TouchLocked(Stripe& stripe,
     }
     if (victim != stripe.entries.end()) {
       stripe.entries.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
       if (m_evictions_ != nullptr) m_evictions_->Increment();
     }
   }
@@ -140,7 +139,6 @@ void RiskScorer::ObserveQuery(uint64_t principal, int64_t key,
   e->activity = Decayed(e->activity, &e->activity_updated, now_seconds,
                         options_.rate_half_life_seconds) +
                 weight;
-  observations_.fetch_add(1, std::memory_order_relaxed);
   if (m_observations_ != nullptr) m_observations_->Increment();
 }
 
@@ -152,7 +150,6 @@ void RiskScorer::ObserveRangeProbe(uint64_t principal,
   Entry* e = TouchLocked(stripe, principal, now_seconds);
   ++e->probe_queries;
   e->probe_keys += static_cast<double>(keys_touched);
-  observations_.fetch_add(1, std::memory_order_relaxed);
   if (m_observations_ != nullptr) m_observations_->Increment();
 }
 
@@ -164,7 +161,6 @@ void RiskScorer::ObserveSignal(uint64_t principal, double weight,
   e->signal = Decayed(e->signal, &e->signal_updated, now_seconds,
                       options_.signal_half_life_seconds) +
               weight;
-  observations_.fetch_add(1, std::memory_order_relaxed);
   if (m_observations_ != nullptr) m_observations_->Increment();
 }
 
@@ -308,14 +304,6 @@ size_t RiskScorer::tracked_principals() const {
   size_t n = 0;
   for (const auto& s : stripes_) n += s->entries.size();
   return n;
-}
-
-uint64_t RiskScorer::observations_total() const {
-  return observations_.load(std::memory_order_relaxed);
-}
-
-uint64_t RiskScorer::evictions_total() const {
-  return evictions_.load(std::memory_order_relaxed);
 }
 
 }  // namespace obs

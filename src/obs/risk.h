@@ -1,7 +1,6 @@
 #ifndef TARPIT_OBS_RISK_H_
 #define TARPIT_OBS_RISK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -138,8 +137,6 @@ class RiskScorer {
   void OnScrape(double now_seconds);
 
   size_t tracked_principals() const;
-  uint64_t observations_total() const;
-  uint64_t evictions_total() const;
 
  private:
   struct Entry {
@@ -187,8 +184,6 @@ class RiskScorer {
   uint64_t sample_mask_ = 0;  // query_sample_every - 1.
   size_t per_stripe_cap_ = 1;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<uint64_t> observations_{0};
-  std::atomic<uint64_t> evictions_{0};
 
   Gauge* m_max_score_ = nullptr;
   Gauge* m_tracked_ = nullptr;

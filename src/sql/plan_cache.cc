@@ -40,7 +40,6 @@ Result<std::shared_ptr<const PreparedStatement>> PlanCache::Get(
       if (it->second.prepared->schema_version == current_version) {
         stripe.lru.splice(stripe.lru.begin(), stripe.lru,
                           it->second.lru_it);
-        stripe.hits.fetch_add(1, std::memory_order_relaxed);
         if (m_hits_ != nullptr) m_hits_->Increment();
         return it->second.prepared;
       }
@@ -50,7 +49,6 @@ Result<std::shared_ptr<const PreparedStatement>> PlanCache::Get(
       stripe.map.erase(it);
     }
   }
-  stripe.misses.fetch_add(1, std::memory_order_relaxed);
   if (m_misses_ != nullptr) m_misses_->Increment();
 
   // Compile outside the stripe lock; parsing and planning are the slow
@@ -78,7 +76,6 @@ Result<std::shared_ptr<const PreparedStatement>> PlanCache::Get(
     const std::string& victim = stripe.lru.back();
     stripe.map.erase(victim);
     stripe.lru.pop_back();
-    stripe.evictions.fetch_add(1, std::memory_order_relaxed);
     if (m_evictions_ != nullptr) m_evictions_->Increment();
   }
   return prepared;
@@ -122,30 +119,6 @@ void PlanCache::BindMetrics(obs::MetricRegistry* m,
   m_hits_ = m->GetCounter("tarpit_plan_cache_hits_total", labels);
   m_misses_ = m->GetCounter("tarpit_plan_cache_misses_total", labels);
   m_evictions_ = m->GetCounter("tarpit_plan_cache_evictions_total", labels);
-}
-
-uint64_t PlanCache::hits() const {
-  uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    total += s.hits.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t PlanCache::misses() const {
-  uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    total += s.misses.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t PlanCache::evictions() const {
-  uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    total += s.evictions.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 size_t PlanCache::size() const {

@@ -2,7 +2,6 @@
 #define TARPIT_SQL_PLAN_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -66,13 +65,11 @@ class PlanCache {
   /// Drops every entry. Call after DDL.
   void Invalidate();
 
-  /// Registers hit/miss/eviction counters with `m` under
-  /// tarpit_plan_cache_{hits,misses,evictions}_total.
+  /// Counts hits, misses and evictions in `m` under
+  /// tarpit_plan_cache_{hits,misses,evictions}_total (unbound: not
+  /// counted).
   void BindMetrics(obs::MetricRegistry* m, const obs::Labels& labels);
 
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
   size_t size() const;
 
  private:
@@ -88,9 +85,6 @@ class PlanCache {
     /// Front = most recently used. Values are the map keys.
     std::list<std::string> lru;
     std::unordered_map<std::string, Entry> map;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
   };
 
   Stripe& StripeFor(const std::string& sql);

@@ -285,7 +285,6 @@ Status BTree::Insert(int64_t key, RecordId rid) {
     }
   }
   // Leaf full: restart with exclusive latches and preemptive splits.
-  write_restarts_.fetch_add(1, std::memory_order_relaxed);
   if (m_write_restarts_ != nullptr) m_write_restarts_->Increment();
   return InsertPessimistic(key, rid);
 }

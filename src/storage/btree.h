@@ -121,16 +121,11 @@ class BTree {
   /// Positions a cursor at the first entry with key >= `key`.
   Result<Cursor> SeekGE(int64_t key) const;
 
-  /// Mirrors the optimistic-insert restart count into a registry
-  /// counter (may be null; must outlive the tree).
+  /// Counts optimistic writer descents that found their leaf full and
+  /// restarted with exclusive latches + preemptive splits (may be
+  /// null; must outlive the tree).
   void BindMetrics(obs::Counter* write_restarts) {
     m_write_restarts_ = write_restarts;
-  }
-
-  /// Optimistic writer descents that found their leaf full and
-  /// restarted with exclusive latches + preemptive splits.
-  uint64_t write_restarts() const {
-    return write_restarts_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -152,7 +147,6 @@ class BTree {
   /// the meta page's shared latch, written only by root splits holding
   /// the meta page's exclusive latch.
   std::atomic<int> height_{1};
-  std::atomic<uint64_t> write_restarts_{0};
   obs::Counter* m_write_restarts_ = nullptr;
 };
 

@@ -87,12 +87,6 @@ void BufferPool::BindShardMetrics(obs::MetricRegistry* registry,
   }
 }
 
-uint64_t BufferPool::ShardLookups(size_t i) const {
-  const Shard& s = shards_[i];
-  return s.hits.load(std::memory_order_relaxed) +
-         s.misses.load(std::memory_order_relaxed);
-}
-
 Result<PageGuard> BufferPool::FetchPage(PageId id) {
   Shard& shard = ShardFor(id);
   {
@@ -104,15 +98,11 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
       // observed under this same lock.
       f.page.pin_count_.fetch_add(1, std::memory_order_acq_rel);
       f.referenced.store(true, std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
       if (m_hits_ != nullptr) m_hits_->Increment();
       if (shard.m_hits != nullptr) shard.m_hits->Increment();
       return PageGuard(this, &f.page);
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
   if (m_misses_ != nullptr) m_misses_->Increment();
   if (shard.m_misses != nullptr) shard.m_misses->Increment();
 
@@ -234,7 +224,6 @@ Result<size_t> BufferPool::GetFreeFrame() {
       TARPIT_RETURN_IF_ERROR(disk_->WritePage(pid, f.page.data()));
     }
     shard.map.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
     if (m_evictions_ != nullptr) m_evictions_->Increment();
     f.page.Reset();
     return idx;

@@ -112,19 +112,11 @@ class BufferPool {
   Status FlushPage(PageId id);
 
   size_t capacity() const { return capacity_; }
-  uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
   DiskManager* disk() const { return disk_; }
 
-  /// Mirrors hit/miss/eviction counts into registry counters (any may
-  /// be null). The counters must outlive the pool.
+  /// Counts hits, misses and evictions in registry counters (any may
+  /// be null: that event is not counted). The counters must outlive
+  /// the pool.
   void BindMetrics(obs::Counter* hits, obs::Counter* misses,
                    obs::Counter* evictions) {
     m_hits_ = hits;
@@ -137,9 +129,6 @@ class BufferPool {
   /// Counters must outlive the pool.
   void BindShardMetrics(obs::MetricRegistry* registry,
                         const obs::Labels& base_labels);
-
-  /// Lookups served by shard `i` since construction (hits + misses).
-  uint64_t ShardLookups(size_t i) const;
 
  private:
   friend class PageGuard;
@@ -154,8 +143,6 @@ class BufferPool {
   struct alignas(64) Shard {
     std::mutex mu;
     std::unordered_map<PageId, size_t> map;  // PageId -> frame index.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
     obs::Counter* m_hits = nullptr;
     obs::Counter* m_misses = nullptr;
   };
@@ -188,9 +175,6 @@ class BufferPool {
 
   std::atomic<size_t> clock_hand_{0};
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
   obs::Counter* m_hits_ = nullptr;
   obs::Counter* m_misses_ = nullptr;
   obs::Counter* m_evictions_ = nullptr;

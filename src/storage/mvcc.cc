@@ -31,7 +31,7 @@ void EpochManager::Snapshot::Release() {
 }
 
 EpochManager::Snapshot EpochManager::Pin() {
-  pins_total_.fetch_add(1, std::memory_order_relaxed);
+  if (m_pins_ != nullptr) m_pins_->Increment();
   const size_t n = slots_.size();
   // Start probing at a per-thread offset so unrelated readers don't
   // fight over slot 0.
@@ -83,7 +83,7 @@ void VersionStore::Install(int64_t key, uint64_t begin, bool tombstone,
   assert(chain.empty() || chain.back().begin < begin);
   chain.push_back(Version{begin, tombstone, std::move(row)});
   live_versions_.fetch_add(1, std::memory_order_relaxed);
-  installed_total_.fetch_add(1, std::memory_order_relaxed);
+  if (m_installed_ != nullptr) m_installed_->Increment();
 }
 
 VersionLookup VersionStore::Lookup(int64_t key, uint64_t snapshot,
@@ -152,7 +152,7 @@ Status VersionStore::Reclaim(
     if (!found) continue;
     TARPIT_RETURN_IF_ERROR(
         apply(key, to_apply.tombstone, to_apply.row));
-    applied_total_.fetch_add(1, std::memory_order_relaxed);
+    if (m_applied_ != nullptr) m_applied_->Increment();
     {
       std::lock_guard<std::mutex> lock(stripe.mu);
       auto it = stripe.chains.find(key);
@@ -164,7 +164,9 @@ Status VersionStore::Reclaim(
         ++removed;
       }
       chain.erase(chain.begin(), chain.begin() + removed);
-      reclaimed_total_.fetch_add(removed, std::memory_order_relaxed);
+      if (m_reclaimed_ != nullptr) {
+        m_reclaimed_->Increment(static_cast<int64_t>(removed));
+      }
       live_versions_.fetch_sub(removed, std::memory_order_relaxed);
       if (chain.empty()) stripe.chains.erase(it);
     }

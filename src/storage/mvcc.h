@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "storage/value.h"
 
 namespace tarpit {
@@ -85,10 +86,8 @@ class EpochManager {
   /// "no reclaim progress this pass").
   uint64_t MinActiveLowerBound() const;
 
-  /// Total snapshots ever pinned (observability).
-  uint64_t pins_total() const {
-    return pins_total_.load(std::memory_order_relaxed);
-  }
+  /// Counts every Pin() in `pins` (may be null; must outlive this).
+  void BindMetrics(obs::Counter* pins) { m_pins_ = pins; }
 
  private:
   struct alignas(64) Slot {
@@ -97,7 +96,7 @@ class EpochManager {
 
   std::atomic<uint64_t> epoch_{1};
   std::vector<Slot> slots_;
-  std::atomic<uint64_t> pins_total_{0};
+  obs::Counter* m_pins_ = nullptr;
 };
 
 /// Outcome of a version-store lookup.
@@ -153,16 +152,14 @@ class VersionStore {
   uint64_t live_versions() const {
     return live_versions_.load(std::memory_order_relaxed);
   }
-  uint64_t installed_total() const {
-    return installed_total_.load(std::memory_order_relaxed);
-  }
-  /// Versions applied to base by Reclaim().
-  uint64_t applied_total() const {
-    return applied_total_.load(std::memory_order_relaxed);
-  }
-  /// Versions unlinked by Reclaim() (applied + superseded).
-  uint64_t reclaimed_total() const {
-    return reclaimed_total_.load(std::memory_order_relaxed);
+  /// Counts versions installed, versions applied to base by Reclaim(),
+  /// and versions unlinked by Reclaim() (applied + superseded) in
+  /// these counters (any may be null; they must outlive the store).
+  void BindMetrics(obs::Counter* installed, obs::Counter* applied,
+                   obs::Counter* reclaimed) {
+    m_installed_ = installed;
+    m_applied_ = applied;
+    m_reclaimed_ = reclaimed;
   }
 
  private:
@@ -192,9 +189,9 @@ class VersionStore {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<uint64_t> live_versions_{0};
-  std::atomic<uint64_t> installed_total_{0};
-  std::atomic<uint64_t> applied_total_{0};
-  std::atomic<uint64_t> reclaimed_total_{0};
+  obs::Counter* m_installed_ = nullptr;
+  obs::Counter* m_applied_ = nullptr;
+  obs::Counter* m_reclaimed_ = nullptr;
 };
 
 }  // namespace tarpit

@@ -19,6 +19,8 @@
 #include "core/protected_db.h"
 #include "defense/query_gate.h"
 #include "defense/reputation.h"
+#include "obs/metrics.h"
+#include "registry_series.h"
 #include "sim/adversary_zoo.h"
 #include "sim/gate_attack.h"
 
@@ -388,6 +390,8 @@ TEST(AdversaryRegressionTest, SharedReputationStoreEightThreads) {
   opts.half_life_seconds = 5.0;
   opts.max_identities_per_shard = 64;
   opts.shards = 4;
+  obs::MetricRegistry registry;
+  opts.metrics = &registry;
   ReputationStore store(opts);
 
   const int iters = StressIters(4000);
@@ -428,7 +432,7 @@ TEST(AdversaryRegressionTest, SharedReputationStoreEightThreads) {
   for (auto& thread : threads) thread.join();
   EXPECT_FALSE(failed.load());
   EXPECT_LE(store.tracked_identities(), 4u * 64u);
-  EXPECT_GE(store.signals_total(), 1u);
+  EXPECT_GE(registry.Snapshot().Total("tarpit_reputation_signals_total"), 1);
   // The store is still coherent after the storm.
   EXPECT_GE(store.PenaltyFactor(1, 0, 1e9), 1.0);
 }

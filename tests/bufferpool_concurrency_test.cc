@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "registry_series.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -91,8 +93,24 @@ class BufferPoolConcurrencyTest : public ::testing::Test {
     ASSERT_TRUE(seeder.FlushAll().ok());
   }
 
+  /// Binds `pool`'s pool-wide and per-shard counters to metrics_.
+  void Bind(BufferPool* pool) {
+    pool->BindMetrics(metrics_.GetCounter("tarpit_bufferpool_hits_total"),
+                      metrics_.GetCounter("tarpit_bufferpool_misses_total"),
+                      metrics_.GetCounter(
+                          "tarpit_bufferpool_evictions_total"));
+    pool->BindShardMetrics(&metrics_, {});
+  }
+  int64_t Hits() const {
+    return SeriesValue(metrics_, "tarpit_bufferpool_hits_total");
+  }
+  int64_t Misses() const {
+    return SeriesValue(metrics_, "tarpit_bufferpool_misses_total");
+  }
+
   fs::path dir_;
   DiskManager disk_;
+  obs::MetricRegistry metrics_;
 };
 
 // 8 threads hammer a 64-page universe through an 8-frame pool: every
@@ -105,6 +123,7 @@ TEST_F(BufferPoolConcurrencyTest, RacingFetchEvictPin) {
   SeedPages(kPages);
 
   BufferPool pool(&disk_, /*capacity=*/8);
+  Bind(&pool);
   std::atomic<int> corrupt{0};
   std::atomic<int> errors{0};
   std::atomic<uint64_t> extra_lookups{0};
@@ -152,16 +171,15 @@ TEST_F(BufferPoolConcurrencyTest, RacingFetchEvictPin) {
   // Exact accounting: every FetchPage call is exactly one hit or one
   // miss -- duplicate concurrent loads must not double count, and
   // failed (then retried) attempts count each attempt.
-  const uint64_t total_fetches = pool.hits() + pool.misses();
-  const uint64_t expected =
-      static_cast<uint64_t>(kThreads) * static_cast<uint64_t>(iters) +
-      extra_lookups.load();
+  const int64_t total_fetches = Hits() + Misses();
+  const int64_t expected =
+      static_cast<int64_t>(kThreads) * iters +
+      static_cast<int64_t>(extra_lookups.load());
   EXPECT_EQ(total_fetches, expected);
   // Per-shard counters must tile the totals exactly.
-  uint64_t shard_sum = 0;
-  for (size_t s = 0; s < BufferPool::kShards; ++s) {
-    shard_sum += pool.ShardLookups(s);
-  }
+  const int64_t shard_sum =
+      metrics_.Snapshot().Total("tarpit_bufpool_shard_hits_total") +
+      metrics_.Snapshot().Total("tarpit_bufpool_shard_misses_total");
   EXPECT_EQ(shard_sum, total_fetches);
 
   // All pins must be gone: a full flush + sequential re-read succeeds
@@ -183,6 +201,7 @@ TEST_F(BufferPoolConcurrencyTest, DuplicateLoadSinglePage) {
   SeedPages(4);
 
   BufferPool pool(&disk_, /*capacity=*/8);
+  Bind(&pool);
   std::atomic<int> corrupt{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -198,14 +217,12 @@ TEST_F(BufferPoolConcurrencyTest, DuplicateLoadSinglePage) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(corrupt.load(), 0);
-  EXPECT_EQ(pool.hits() + pool.misses(),
-            static_cast<uint64_t>(kThreads) *
-                static_cast<uint64_t>(iters));
+  EXPECT_EQ(Hits() + Misses(), static_cast<int64_t>(kThreads) * iters);
   // With no eviction pressure the page is unmapped only at startup:
   // the initial stampede misses (each racer counts its lookup miss
   // even if it loses the install race), everything after hits.
-  EXPECT_GE(pool.misses(), 1u);
-  EXPECT_LE(pool.misses(), static_cast<uint64_t>(kThreads));
+  EXPECT_GE(Misses(), 1);
+  EXPECT_LE(Misses(), kThreads);
 }
 
 // Warm pool, capacity >= universe: concurrent readers never miss, and
@@ -217,12 +234,13 @@ TEST_F(BufferPoolConcurrencyTest, WarmPoolAllHits) {
   SeedPages(kPages);
 
   BufferPool pool(&disk_, /*capacity=*/32);
+  Bind(&pool);
   for (PageId id = 0; id < kPages; ++id) {
     Result<PageGuard> guard = pool.FetchPage(id);
     ASSERT_TRUE(guard.ok());
   }
-  const uint64_t warm_misses = pool.misses();
-  ASSERT_EQ(warm_misses, kPages);
+  const int64_t warm_misses = Misses();
+  ASSERT_EQ(warm_misses, static_cast<int64_t>(kPages));
 
   std::vector<std::thread> threads;
   std::atomic<int> corrupt{0};
@@ -242,10 +260,8 @@ TEST_F(BufferPoolConcurrencyTest, WarmPoolAllHits) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(corrupt.load(), 0);
-  EXPECT_EQ(pool.misses(), warm_misses);  // No evictions possible.
-  EXPECT_EQ(pool.hits(),
-            static_cast<uint64_t>(kThreads) *
-                static_cast<uint64_t>(iters));
+  EXPECT_EQ(Misses(), warm_misses);  // No evictions possible.
+  EXPECT_EQ(Hits(), static_cast<int64_t>(kThreads) * iters);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "core/popularity_delay.h"
 #include "core/resource_governor.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 #include "stats/concurrent_count_tracker.h"
 #include "stats/count_tracker.h"
 
@@ -81,6 +82,7 @@ class ConcurrencyTest : public ::testing::Test {
 
   fs::path dir_;
   RealClock clock_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<ConcurrentProtectedDatabase> cdb_;
 };
 
@@ -372,6 +374,7 @@ TEST_F(ConcurrencyTest, WritesInvalidateRowCache) {
   ConcurrentDatabaseOptions copts;
   copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
+  copts.metrics = &metrics_;
   OpenDb(kRows, opts, copts);
 
   // Warm the cache.
@@ -380,7 +383,9 @@ TEST_F(ConcurrencyTest, WritesInvalidateRowCache) {
     ASSERT_TRUE(r.ok());
     ASSERT_DOUBLE_EQ(r->result.rows[0][1].AsDouble(), 1.0);
   }
-  ASSERT_GT(cdb_->row_cache_hits() + cdb_->row_cache_misses(), 0u);
+  ASSERT_GT(SeriesValue(metrics_, "tarpit_row_cache_hits_total") +
+                SeriesValue(metrics_, "tarpit_row_cache_misses_total"),
+            0);
 
   std::atomic<int> errors{0};
   std::vector<std::thread> readers;
@@ -615,9 +620,11 @@ TEST_F(ConcurrencyTest, ExecuteSqlAsyncParksSelectStall) {
 
 // ---------- Blocking / async parity ----------
 
-ResourceGovernorOptions ParkBudget(uint64_t max_parked_stalls) {
+ResourceGovernorOptions ParkBudget(uint64_t max_parked_stalls,
+                                   obs::MetricRegistry* metrics) {
   ResourceGovernorOptions go;
   go.max_parked_stalls = max_parked_stalls;
+  go.metrics = metrics;
   return go;
 }
 
@@ -637,7 +644,8 @@ ProtectedDatabaseOptions ParityOptions(double min_s, double max_s) {
 class DoorParityTest : public ::testing::TestWithParam<bool> {
  protected:
   struct Door {
-    explicit Door(uint64_t max_parked) : governor(ParkBudget(max_parked)) {}
+    explicit Door(uint64_t max_parked)
+        : governor(ParkBudget(max_parked, &registry)) {}
 
     int64_t ChargedSamples() {
       return registry
@@ -778,8 +786,9 @@ TEST_P(DoorParityTest, BlockingAndAsyncServeAndChargeAlike) {
   EXPECT_EQ(blocking->ChargedSamples(), samples_before + 2);
   ExpectSameMetrics(a, b);
   EXPECT_EQ(blocking->ChargedSamples(), async->ChargedSamples());
-  EXPECT_EQ(blocking->governor.shed_total(), 2u);
-  EXPECT_EQ(async->governor.shed_total(), 2u);
+  EXPECT_EQ(blocking->registry.Snapshot().Total("tarpit_governor_shed_total"),
+            2);
+  EXPECT_EQ(async->registry.Snapshot().Total("tarpit_governor_shed_total"), 2);
   blocking->governor.ReleaseStall(0);
   async->governor.ReleaseStall(0);
   EXPECT_EQ(blocking->governor.parked_stalls(), 0u);

@@ -11,6 +11,8 @@
 #include "defense/query_gate.h"
 #include "defense/registration_limiter.h"
 #include "defense/token_bucket.h"
+#include "obs/metrics.h"
+#include "registry_series.h"
 
 namespace tarpit {
 namespace {
@@ -274,7 +276,10 @@ TEST_F(QueryGateTest, ExecuteSqlAsyncDenialCompletesInline) {
   MakeGate(opts);
   auto user = gate_->RegisterUser(Ipv4FromString("10.0.0.1"));
   ASSERT_TRUE(user.ok());
-  DelayScheduler scheduler(&clock_);
+  obs::MetricRegistry registry;
+  DelaySchedulerOptions sopts;
+  sopts.metrics = &registry;
+  DelayScheduler scheduler(&clock_, sopts);
 
   bool completed = false;
   Status status;
@@ -285,7 +290,7 @@ TEST_F(QueryGateTest, ExecuteSqlAsyncDenialCompletesInline) {
                          });
   EXPECT_TRUE(completed);
   EXPECT_TRUE(status.IsRateLimited());
-  EXPECT_EQ(scheduler.scheduled_total(), 0u);
+  EXPECT_EQ(SeriesValue(registry, "tarpit_scheduler_scheduled_total"), 0);
 }
 
 // Real clock + defer_delay_sleep: the charged stall parks on the wheel

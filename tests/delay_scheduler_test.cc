@@ -30,6 +30,7 @@
 #include "common/clock.h"
 #include "core/delay_scheduler.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 
 namespace tarpit {
 namespace {
@@ -41,6 +42,19 @@ int StressIters(int default_iters) {
     if (v > 0) return std::min(v, default_iters);
   }
   return default_iters;
+}
+
+constexpr const char* kScheduled = "tarpit_scheduler_scheduled_total";
+constexpr const char* kFired = "tarpit_scheduler_fired_total";
+constexpr const char* kCancelled = "tarpit_scheduler_cancelled_total";
+constexpr const char* kPromotions =
+    "tarpit_scheduler_overflow_promotions_total";
+
+/// `opts` with the scheduler's event counts landing in `registry`.
+DelaySchedulerOptions CountedIn(obs::MetricRegistry* registry,
+                                DelaySchedulerOptions opts = {}) {
+  opts.metrics = registry;
+  return opts;
 }
 
 /// Spin-waits (with sleeps) until `pred` holds, failing after ~10s.
@@ -65,6 +79,7 @@ int64_t NowNanos() {
 /// must fire exactly once, and no stall that fired uncancelled may have
 /// been short.
 void RaceCancellation(DelayScheduler* sched,
+                      const obs::MetricRegistry& registry,
                       const std::vector<int64_t>& delays_ns,
                       int64_t cancel_from_ns) {
   const int n = static_cast<int>(delays_ns.size());
@@ -104,14 +119,16 @@ void RaceCancellation(DelayScheduler* sched,
       EXPECT_GE(stalls[i].elapsed_ns.load(), delays_ns[i]) << "entry " << i;
     }
   }
-  EXPECT_EQ(sched->fired_total() + sched->cancelled_total(),
-            static_cast<uint64_t>(n));
-  EXPECT_EQ(sched->cancelled_total(), cancel_hits.load());
+  EXPECT_EQ(SeriesValue(registry, kFired) + SeriesValue(registry, kCancelled),
+            n);
+  EXPECT_EQ(SeriesValue(registry, kCancelled),
+            static_cast<int64_t>(cancel_hits.load()));
 }
 
 TEST(DelaySchedulerTest, ZeroDelayFiresImmediatelyInOrder) {
   RealClock clock;
-  DelayScheduler sched(&clock);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry));
 
   std::mutex mu;
   std::vector<int> order;
@@ -125,8 +142,8 @@ TEST(DelaySchedulerTest, ZeroDelayFiresImmediatelyInOrder) {
   sched.Drain();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(sched.fired_total(), 16u);
-  EXPECT_EQ(sched.cancelled_total(), 0u);
+  EXPECT_EQ(SeriesValue(registry, kFired), 16);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), 0);
   EXPECT_EQ(sched.parked(), 0u);
 }
 
@@ -244,8 +261,8 @@ TEST(DelaySchedulerTest, LaterDeadlineDoesNotWakeTheDriver) {
   }
   EXPECT_LE(wakes_at_expiry.get_future().get() - before, 2);
   sched.Shutdown(DelayScheduler::ShutdownMode::kCancelPending);
-  EXPECT_EQ(sched.fired_total(), 1u);
-  EXPECT_EQ(sched.cancelled_total(), 100u);
+  EXPECT_EQ(SeriesValue(registry, kFired), 1);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), 100);
 }
 
 TEST(DelaySchedulerTest, BeyondHorizonGoesToOverflowAndPromotes) {
@@ -258,7 +275,8 @@ TEST(DelaySchedulerTest, BeyondHorizonGoesToOverflowAndPromotes) {
   opts.tick_micros = 1000;
   opts.wheel_bits = 2;
   opts.levels = 2;
-  DelayScheduler sched(&clock, opts);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry, opts));
   EXPECT_EQ(sched.horizon_micros(), 16'000);
 
   const int64_t start = clock.NowMicros();
@@ -271,13 +289,14 @@ TEST(DelaySchedulerTest, BeyondHorizonGoesToOverflowAndPromotes) {
   sched.Drain();
   ASSERT_GT(fired_at.load(), 0);
   EXPECT_GE(fired_at.load() - start, 60'000);
-  EXPECT_GE(sched.overflow_promotions(), 1u);
-  EXPECT_EQ(sched.fired_total(), 1u);
+  EXPECT_GE(SeriesValue(registry, kPromotions), 1);
+  EXPECT_EQ(SeriesValue(registry, kFired), 1);
 }
 
 TEST(DelaySchedulerTest, CancelBeforeExpiryFiresCancelledExactlyOnce) {
   RealClock clock;
-  DelayScheduler sched(&clock);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry));
   std::atomic<int> calls{0};
   std::atomic<bool> was_cancelled{false};
   TimerId id = sched.Submit(30.0, [&](bool cancelled) {
@@ -290,8 +309,8 @@ TEST(DelaySchedulerTest, CancelBeforeExpiryFiresCancelledExactlyOnce) {
   sched.Drain();
   EXPECT_EQ(calls.load(), 1);
   EXPECT_TRUE(was_cancelled.load());
-  EXPECT_EQ(sched.cancelled_total(), 1u);
-  EXPECT_EQ(sched.fired_total(), 0u);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), 1);
+  EXPECT_EQ(SeriesValue(registry, kFired), 0);
 }
 
 TEST(DelaySchedulerTest, CancellationRacesCascadeExactlyOnce) {
@@ -302,7 +321,8 @@ TEST(DelaySchedulerTest, CancellationRacesCascadeExactlyOnce) {
   opts.tick_micros = 1000;
   opts.wheel_bits = 2;
   opts.levels = 3;  // 64 ms horizon.
-  DelayScheduler sched(&clock, opts);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry, opts));
 
   const int n = StressIters(400);
   std::vector<int64_t> delays_ns(n);
@@ -310,7 +330,7 @@ TEST(DelaySchedulerTest, CancellationRacesCascadeExactlyOnce) {
     // Delays 1..100 ms: every wheel level plus the overflow heap.
     delays_ns[i] = 1'000'000 * (1 + i % 100);
   }
-  RaceCancellation(&sched, delays_ns, /*cancel_from_ns=*/0);
+  RaceCancellation(&sched, registry, delays_ns, /*cancel_from_ns=*/0);
   EXPECT_GT(sched.cascades(), 0u);
 }
 
@@ -321,7 +341,8 @@ TEST(DelaySchedulerTest, CancellationRacesSameTickCrowdExactlyOnce) {
   RealClock clock;
   DelaySchedulerOptions opts;
   opts.tick_micros = 200'000;
-  DelayScheduler sched(&clock, opts);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry, opts));
 
   const int n = std::max(StressIters(5000), 2);
   // The crowd's deadlines start 40 ms into the tick after next, one
@@ -332,9 +353,9 @@ TEST(DelaySchedulerTest, CancellationRacesSameTickCrowdExactlyOnce) {
       (now_us / opts.tick_micros + 2) * opts.tick_micros + 40'000;
   std::vector<int64_t> delays_ns(n);
   for (int i = 0; i < n; ++i) delays_ns[i] = (first_us + i - now_us) * 1000;
-  RaceCancellation(&sched, delays_ns,
+  RaceCancellation(&sched, registry, delays_ns,
                    /*cancel_from_ns=*/(first_us + 2'000) * 1000);
-  EXPECT_GT(sched.fired_total(), 0u);
+  EXPECT_GT(SeriesValue(registry, kFired), 0);
 }
 
 TEST(DelaySchedulerTest, VirtualClockFiresInstantlyInSubmissionOrder) {
@@ -409,7 +430,8 @@ TEST(DelaySchedulerTest, ShutdownCancelPendingDropsNoCallback) {
 
 TEST(DelaySchedulerTest, ShutdownDrainWaitsForNaturalExpiry) {
   RealClock clock;
-  DelayScheduler sched(&clock);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry));
   std::atomic<int> fired{0};
   for (int i = 0; i < 8; ++i) {
     sched.Submit(0.005 * (i + 1), [&](bool cancelled) {
@@ -419,7 +441,7 @@ TEST(DelaySchedulerTest, ShutdownDrainWaitsForNaturalExpiry) {
   }
   sched.Shutdown(DelayScheduler::ShutdownMode::kDrain);
   EXPECT_EQ(fired.load(), 8);
-  EXPECT_EQ(sched.cancelled_total(), 0u);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), 0);
 }
 
 TEST(DelaySchedulerTest, CallbacksMayResubmit) {
@@ -451,7 +473,7 @@ TEST(DelaySchedulerTest, PeakParkedTracksHighWaterMark) {
 
 // A zero charge has nothing to wait for: the callback runs on the
 // submitting thread before Submit returns, and is still counted as
-// scheduled and fired (privately and in the registry).
+// scheduled and fired.
 TEST(DelaySchedulerTest, ZeroDelayCompletesOnCallerBeforeSubmitReturns) {
   RealClock clock;
   obs::MetricRegistry registry;
@@ -469,19 +491,17 @@ TEST(DelaySchedulerTest, ZeroDelayCompletesOnCallerBeforeSubmitReturns) {
   EXPECT_NE(id, 0u);
   EXPECT_TRUE(fired);  // Plain bool: no other thread touched it.
   EXPECT_EQ(fired_on, std::this_thread::get_id());
-  EXPECT_EQ(sched.scheduled_total(), 1u);
-  EXPECT_EQ(sched.fired_total(), 1u);
+  EXPECT_EQ(SeriesValue(registry, kScheduled), 1);
+  EXPECT_EQ(SeriesValue(registry, kFired), 1);
   EXPECT_EQ(sched.parked(), 0u);
-  EXPECT_EQ(registry.GetCounter("tarpit_scheduler_scheduled_total")->Value(),
-            1);
-  EXPECT_EQ(registry.GetCounter("tarpit_scheduler_fired_total")->Value(), 1);
 }
 
 // The inline callback runs outside the scheduler lock, so it may
 // submit (inline or parked) and cancel without deadlocking.
 TEST(DelaySchedulerTest, InlineCallbackMayReenterSubmitAndCancelGroup) {
   RealClock clock;
-  DelayScheduler sched(&clock);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry));
   constexpr StallGroup kGroup = 5;
 
   bool nested_inline = false;
@@ -498,9 +518,9 @@ TEST(DelaySchedulerTest, InlineCallbackMayReenterSubmitAndCancelGroup) {
   EXPECT_EQ(cancelled_in_callback, 1u);
   sched.Drain();
   EXPECT_TRUE(parked_cancelled.load());
-  EXPECT_EQ(sched.scheduled_total(), 3u);
-  EXPECT_EQ(sched.fired_total(), 2u);
-  EXPECT_EQ(sched.cancelled_total(), 1u);
+  EXPECT_EQ(SeriesValue(registry, kScheduled), 3);
+  EXPECT_EQ(SeriesValue(registry, kFired), 2);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), 1);
 }
 
 // Drain() counts an inline callback running on another thread as
@@ -539,7 +559,8 @@ TEST(DelaySchedulerTest, TinyPositiveDelayParksOnTheDriver) {
   RealClock clock;
   DelaySchedulerOptions opts;
   opts.tick_micros = 1000;
-  DelayScheduler sched(&clock, opts);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry, opts));
 
   std::promise<std::pair<std::thread::id, int64_t>> fired;
   const int64_t start = clock.NowMicros();
@@ -551,7 +572,7 @@ TEST(DelaySchedulerTest, TinyPositiveDelayParksOnTheDriver) {
   EXPECT_NE(fired_on, std::this_thread::get_id());
   EXPECT_GE(fired_at - start, 1);  // 1e-9 s rounds up to 1 us.
   sched.Drain();
-  EXPECT_EQ(sched.fired_total(), 1u);
+  EXPECT_EQ(SeriesValue(registry, kFired), 1);
 }
 
 // One thread completes every parked stall: an expiry, a Cancel, a
@@ -592,7 +613,8 @@ TEST(DelaySchedulerTest, EveryParkedCallbackRunsOnTheDriver) {
 // short) until a cancel completes it.
 TEST(DelaySchedulerTest, HugeOrInfiniteDelayParksUntilCancelled) {
   RealClock clock;
-  DelayScheduler sched(&clock);
+  obs::MetricRegistry registry;
+  DelayScheduler sched(&clock, CountedIn(&registry));
 
   const double delays[] = {std::numeric_limits<double>::infinity(), 1e13,
                            9.3e12, 1e12};
@@ -621,8 +643,8 @@ TEST(DelaySchedulerTest, HugeOrInfiniteDelayParksUntilCancelled) {
     EXPECT_EQ(calls[i].load(), 1);
     EXPECT_TRUE(was_cancelled[i].load());
   }
-  EXPECT_EQ(sched.fired_total(), 0u);
-  EXPECT_EQ(sched.cancelled_total(), static_cast<uint64_t>(kN));
+  EXPECT_EQ(SeriesValue(registry, kFired), 0);
+  EXPECT_EQ(SeriesValue(registry, kCancelled), kN);
 }
 
 }  // namespace

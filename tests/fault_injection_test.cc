@@ -36,6 +36,7 @@
 #include "defense/reputation.h"
 #include "obs/failpoint_metrics.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection_disk.h"
 #include "storage/schema.h"
@@ -711,6 +712,8 @@ TEST(CrashTortureTest, MvccGroupCommitReplaysIdempotently) {
   copts.mode = ConcurrencyMode::kSharded;
   copts.mvcc_reclaim_every_commits = 4;  // Partial reclaim guaranteed.
   copts.serve_delays = false;
+  obs::MetricRegistry metrics;
+  copts.metrics = &metrics;
 
   std::map<int64_t, double> oracle;
   {
@@ -758,7 +761,7 @@ TEST(CrashTortureTest, MvccGroupCommitReplaysIdempotently) {
       }
     }
     EXPECT_GT((*cdb)->mvcc_commits(), 0u);
-    EXPECT_GT((*cdb)->ddl_fences(), 0u);
+    EXPECT_GT(SeriesValue(metrics, "tarpit_mvcc_ddl_fences_total"), 0);
     // Crash: no checkpoint. Every base page written since create was
     // only in the volatile overlays and dies with the instance.
   }
@@ -1119,26 +1122,26 @@ TEST(ResourceGovernorTest, BudgetsAndSheddingReasons) {
   EXPECT_TRUE(gov.CheckWrite(101, 0).IsOverloaded());
   EXPECT_TRUE(gov.CheckWrite(0, 11).IsOverloaded());
 
-  EXPECT_EQ(gov.admitted_total(), 3u);
-  EXPECT_EQ(gov.shed_total(), 4u);
+  EXPECT_EQ(SeriesValue(registry, "tarpit_governor_admitted_total"), 3);
+  EXPECT_EQ(registry.Snapshot().Total("tarpit_governor_shed_total"), 4);
   EXPECT_EQ(registry.GetGauge("tarpit_governor_parked_stalls")->Value(),
             0);
-  int64_t shed = 0;
   for (const char* reason :
        {"parked_stalls", "parked_bytes", "wal_backlog", "live_versions"}) {
-    shed += registry
-                .GetCounter("tarpit_governor_shed_total",
-                            {{"reason", reason}})
-                ->Value();
+    EXPECT_EQ(SeriesValue(registry, "tarpit_governor_shed_total",
+                          {{"reason", reason}}),
+              1)
+        << reason;
   }
-  EXPECT_EQ(shed, 4);
 }
 
 TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
   TempDir dir("gov_cdb");
   RealClock clock;
+  obs::MetricRegistry registry;
   ResourceGovernorOptions go;
   go.max_parked_stalls = 1;
+  go.metrics = &registry;
   ResourceGovernor gov(go);
 
   ProtectedDatabaseOptions opts;
@@ -1171,7 +1174,7 @@ TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
   auto m = (*cdb)->Metrics();
   EXPECT_EQ(m.delays_charged, 1u);
   EXPECT_GT(m.total_delay_seconds, 0.0);
-  EXPECT_EQ(gov.shed_total(), 1u);
+  EXPECT_EQ(registry.Snapshot().Total("tarpit_governor_shed_total"), 1);
 
   // The async path sheds identically, completing inline.
   std::atomic<bool> overloaded{false};

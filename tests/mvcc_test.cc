@@ -20,6 +20,8 @@
 #include "common/random.h"
 #include "core/concurrent_db.h"
 #include "core/protected_db.h"
+#include "obs/metrics.h"
+#include "registry_series.h"
 #include "stats/count_tracker.h"
 #include "storage/mvcc.h"
 
@@ -39,12 +41,25 @@ int StressIters(int default_iters) {
   return default_iters;
 }
 
+constexpr const char* kInstalled = "tarpit_mvcc_versions_installed_total";
+constexpr const char* kApplied = "tarpit_mvcc_versions_applied_total";
+constexpr const char* kReclaimed = "tarpit_mvcc_versions_reclaimed_total";
+
+/// Binds `vs`'s counters under the series names the front door uses.
+void BindVersionMetrics(VersionStore* vs, obs::MetricRegistry* metrics) {
+  vs->BindMetrics(metrics->GetCounter(kInstalled),
+                  metrics->GetCounter(kApplied),
+                  metrics->GetCounter(kReclaimed));
+}
+
 // ---------------------------------------------------------------------
 // EpochManager / VersionStore unit tests (no database).
 // ---------------------------------------------------------------------
 
 TEST(EpochManagerTest, PinPublishAndLowerBound) {
   EpochManager em(4);
+  obs::MetricRegistry metrics;
+  em.BindMetrics(metrics.GetCounter("tarpit_mvcc_snapshot_pins_total"));
   EXPECT_EQ(em.current(), 1u);
   EXPECT_EQ(em.MinActiveLowerBound(), 1u);  // Nothing pinned.
 
@@ -65,7 +80,7 @@ TEST(EpochManagerTest, PinPublishAndLowerBound) {
   EXPECT_EQ(em.MinActiveLowerBound(), 2u);
   new_pin.Release();
   EXPECT_EQ(em.MinActiveLowerBound(), 2u);  // Back to current().
-  EXPECT_EQ(em.pins_total(), 2u);
+  EXPECT_EQ(SeriesValue(metrics, "tarpit_mvcc_snapshot_pins_total"), 2);
 }
 
 TEST(EpochManagerTest, MoveTransfersThePin) {
@@ -81,10 +96,12 @@ TEST(EpochManagerTest, MoveTransfersThePin) {
 
 TEST(VersionStoreTest, SnapshotVisibilityAndTombstones) {
   VersionStore vs(4);
+  obs::MetricRegistry metrics;
+  BindVersionMetrics(&vs, &metrics);
   vs.Install(7, /*begin=*/2, /*tombstone=*/false,
              {Value(int64_t{7}), Value(2.5)});
   vs.Install(7, /*begin=*/4, /*tombstone=*/true, {});
-  EXPECT_EQ(vs.installed_total(), 2u);
+  EXPECT_EQ(SeriesValue(metrics, kInstalled), 2);
   EXPECT_EQ(vs.live_versions(), 2u);
 
   Row out;
@@ -102,6 +119,8 @@ TEST(VersionStoreTest, SnapshotVisibilityAndTombstones) {
 
 TEST(VersionStoreTest, ReclaimAppliesNewestAndUnlinksSuperseded) {
   VersionStore vs(4);
+  obs::MetricRegistry metrics;
+  BindVersionMetrics(&vs, &metrics);
   // Key 1 is written twice before the boundary: the reclaimer must
   // apply only the newest image but unlink both versions.
   vs.Install(1, 2, false, {Value(int64_t{1}), Value(1.0)});
@@ -127,8 +146,8 @@ TEST(VersionStoreTest, ReclaimAppliesNewestAndUnlinksSuperseded) {
   ASSERT_EQ(applied_tombstones.size(), 1u);
   EXPECT_EQ(applied_tombstones[0], 2);
   // 3 versions unlinked (two for key 1, one for key 2), 2 applied.
-  EXPECT_EQ(vs.reclaimed_total(), 3u);
-  EXPECT_EQ(vs.applied_total(), 2u);
+  EXPECT_EQ(SeriesValue(metrics, kReclaimed), 3);
+  EXPECT_EQ(SeriesValue(metrics, kApplied), 2);
   EXPECT_EQ(vs.live_versions(), 1u);  // Key 3 at epoch 5 survives.
   Row out;
   EXPECT_EQ(vs.Lookup(1, 10, &out), VersionLookup::kMiss);
@@ -136,10 +155,11 @@ TEST(VersionStoreTest, ReclaimAppliesNewestAndUnlinksSuperseded) {
 
   ASSERT_TRUE(vs.Reclaim(/*boundary=*/5, apply).ok());
   EXPECT_EQ(vs.live_versions(), 0u);
-  EXPECT_EQ(vs.installed_total(),
-            vs.reclaimed_total());  // Exactness: nothing lost or double-
-                                    // counted once fully drained.
-  EXPECT_LE(vs.applied_total(), vs.reclaimed_total());
+  EXPECT_EQ(SeriesValue(metrics, kInstalled),
+            SeriesValue(metrics, kReclaimed));  // Exactness: nothing lost
+                                                // or double-counted once
+                                                // fully drained.
+  EXPECT_LE(SeriesValue(metrics, kApplied), SeriesValue(metrics, kReclaimed));
 }
 
 // ---------------------------------------------------------------------
@@ -169,6 +189,7 @@ class MvccTest : public ::testing::Test {
     if (clock == nullptr) clock = &clock_;
     copts.mode = ConcurrencyMode::kSharded;
     copts.serve_delays = false;
+    copts.metrics = &metrics_;
     auto cdb = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
                                                  clock, opts, copts);
     ASSERT_TRUE(cdb.ok()) << cdb.status().ToString();
@@ -190,8 +211,13 @@ class MvccTest : public ::testing::Test {
     return r->result.rows.at(0).at(1).AsDouble();
   }
 
+  int64_t Series(std::string_view name) const {
+    return SeriesValue(metrics_, name);
+  }
+
   fs::path dir_;
   RealClock clock_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<ConcurrentProtectedDatabase> cdb_;
 };
 
@@ -204,7 +230,8 @@ TEST_F(MvccTest, DmlLowersToVersionStoreAndReadsResolveThroughChains) {
   copts.mvcc_reclaim_every_commits = 0;  // Only drains fold versions.
   copts.mvcc_reclaim_interval_micros = 0;
   OpenDb(16, opts, copts);
-  const uint64_t setup_fences = cdb_->ddl_fences();  // CREATE TABLE.
+  const int64_t setup_fences =
+      Series("tarpit_mvcc_ddl_fences_total");  // CREATE TABLE.
 
   ASSERT_TRUE(
       cdb_->ExecuteSql("UPDATE items SET v = 2.5 WHERE id = 7").ok());
@@ -213,8 +240,9 @@ TEST_F(MvccTest, DmlLowersToVersionStoreAndReadsResolveThroughChains) {
       cdb_->ExecuteSql("INSERT INTO items VALUES (100, 4.0)").ok());
 
   EXPECT_EQ(cdb_->mvcc_commits(), 3u);
-  EXPECT_GE(cdb_->write_batches(), 1u);
-  EXPECT_EQ(cdb_->ddl_fences(), setup_fences);  // Lowered DML: no fence.
+  EXPECT_GE(Series("tarpit_write_batches_total"), 1);
+  EXPECT_EQ(Series("tarpit_mvcc_ddl_fences_total"),
+            setup_fences);  // Lowered DML: no fence.
   ASSERT_NE(cdb_->version_store(), nullptr);
   EXPECT_EQ(cdb_->version_store()->live_versions(), 3u);
   EXPECT_EQ(cdb_->epoch_manager()->current(), 4u);  // 1 + 3 commits.
@@ -224,7 +252,7 @@ TEST_F(MvccTest, DmlLowersToVersionStoreAndReadsResolveThroughChains) {
   EXPECT_DOUBLE_EQ(MustGet(100), 4.0);
   auto gone = cdb_->GetByKey(8);
   EXPECT_FALSE(gone.ok());
-  EXPECT_EQ(cdb_->version_store()->applied_total(), 0u);
+  EXPECT_EQ(Series(kApplied), 0);
   EXPECT_EQ(cdb_->logical_rows(), 16u);  // 16 - 1 delete + 1 insert.
 
   // Partial-prefix persistence mirrors the serial executor: the first
@@ -286,7 +314,7 @@ TEST_F(MvccTest, ClockDrivenReclaimIsDeterministic) {
       cdb_->ExecuteSql("UPDATE items SET v = 3.0 WHERE id = 2").ok());
   // Virtual time has not advanced: nothing may be reclaimed.
   EXPECT_EQ(cdb_->version_store()->live_versions(), 2u);
-  EXPECT_EQ(cdb_->version_store()->applied_total(), 0u);
+  EXPECT_EQ(Series(kApplied), 0);
 
   // Cross the interval; the next leader pass must fold everything
   // (no snapshot is pinned, so the boundary is the current epoch).
@@ -294,9 +322,8 @@ TEST_F(MvccTest, ClockDrivenReclaimIsDeterministic) {
   ASSERT_TRUE(
       cdb_->ExecuteSql("UPDATE items SET v = 4.0 WHERE id = 3").ok());
   EXPECT_EQ(cdb_->version_store()->live_versions(), 0u);
-  EXPECT_EQ(cdb_->version_store()->applied_total(), 3u);
-  EXPECT_EQ(cdb_->version_store()->installed_total(),
-            cdb_->version_store()->reclaimed_total());
+  EXPECT_EQ(Series(kApplied), 3);
+  EXPECT_EQ(Series(kInstalled), Series(kReclaimed));
 
   // Deterministic repeat: same advance, same outcome.
   ASSERT_TRUE(
@@ -332,7 +359,7 @@ TEST_F(MvccTest, ExclusiveFallbackFencesTheVersionStore) {
       "UPDATE items SET v = 7.0 WHERE id >= 1 AND id <= 3");
   ASSERT_TRUE(range.ok()) << range.status().ToString();
   EXPECT_EQ(range->result.affected, 2u);  // Keys 1 and 3 only.
-  EXPECT_GE(cdb_->ddl_fences(), 1u);
+  EXPECT_GE(Series("tarpit_mvcc_ddl_fences_total"), 1);
   EXPECT_EQ(cdb_->version_store()->live_versions(), 0u);
   EXPECT_DOUBLE_EQ(MustGet(1), 7.0);
   EXPECT_FALSE(cdb_->GetByKey(2).ok());
@@ -340,10 +367,10 @@ TEST_F(MvccTest, ExclusiveFallbackFencesTheVersionStore) {
   // DDL also fences (exercised again, with versions pending).
   ASSERT_TRUE(
       cdb_->ExecuteSql("UPDATE items SET v = 8.0 WHERE id = 4").ok());
-  const uint64_t fences_before = cdb_->ddl_fences();
+  const int64_t fences_before = Series("tarpit_mvcc_ddl_fences_total");
   ASSERT_TRUE(
       cdb_->ExecuteSql("CREATE TABLE side (id INT PRIMARY KEY)").ok());
-  EXPECT_GT(cdb_->ddl_fences(), fences_before);
+  EXPECT_GT(Series("tarpit_mvcc_ddl_fences_total"), fences_before);
   EXPECT_EQ(cdb_->version_store()->live_versions(), 0u);
   EXPECT_DOUBLE_EQ(MustGet(4), 8.0);
 }
@@ -515,8 +542,8 @@ TEST_F(MvccTest, MixedReadWriteStorm8Threads) {
   EXPECT_EQ(cdb_->mvcc_commits(), successful_writes.load());
   const VersionStore* vs = cdb_->version_store();
   EXPECT_EQ(vs->live_versions(), 0u);
-  EXPECT_EQ(vs->installed_total(), vs->reclaimed_total());
-  EXPECT_LE(vs->applied_total(), vs->reclaimed_total());
+  EXPECT_EQ(Series(kInstalled), Series(kReclaimed));
+  EXPECT_LE(Series(kApplied), Series(kReclaimed));
   EXPECT_EQ(cdb_->logical_rows(), static_cast<uint64_t>(kKeys));
 
   for (int64_t key = 1; key <= kKeys; ++key) {

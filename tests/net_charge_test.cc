@@ -25,6 +25,7 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 
 namespace tarpit {
 namespace net {
@@ -111,11 +112,11 @@ TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
   // The server notices via EPOLLRDHUP, cancels the park, and records
   // the reputation signal -- all asynchronously; give it a moment.
   const double start = NowSecondsSteady();
-  while (server.hangups_mid_stall() == 0 &&
+  while (SeriesValue(metrics, "tarpit_net_hangups_mid_stall_total") == 0 &&
          NowSecondsSteady() - start < 5.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_GE(server.hangups_mid_stall(), 1u);
+  ASSERT_GE(SeriesValue(metrics, "tarpit_net_hangups_mid_stall_total"), 1);
   // Hangup was detected well before the 3s stall would have expired.
   EXPECT_LT(NowSecondsSteady() - start, 2.5);
 
@@ -124,7 +125,7 @@ TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
   const auto m = db->Metrics();
   EXPECT_GE(m.total_delay_seconds - before_charge, 3.0 * 0.999);
   // The response never went out.
-  EXPECT_EQ(server.responses_sent(), 0u);
+  EXPECT_EQ(metrics.Snapshot().Total("tarpit_net_responses_total"), 0);
 
   // (2) The principal's penalty factor escalated (growth 2.0 per
   // external signal; baseline is 1.0).
@@ -147,7 +148,7 @@ TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
     const double hello_elapsed = NowSecondsSteady() - hello_start;
     EXPECT_GE(hello_elapsed, 0.5 * 1.9);
     EXPECT_LE(hello_elapsed, 10.0);
-    EXPECT_GE(server.accept_delays(), 1u);
+    EXPECT_GE(SeriesValue(metrics, "tarpit_net_accept_delays_total"), 1);
     // ...and the stall itself is escalated too (engine-side principal
     // escalation): the charged delay exceeds the base 3s.
     auto r = retry.GetByKey(2, /*timeout_seconds=*/60.0);

@@ -17,6 +17,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -36,6 +37,7 @@
 #include "net/load_client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 
 namespace tarpit {
 namespace net {
@@ -236,7 +238,7 @@ TEST(NetServerTest, OversizedFrameClosedWithError) {
     auto eof = client.RecvFrame(5.0);
     EXPECT_FALSE(eof.ok());
   }
-  EXPECT_GE(h.server->protocol_errors(), 1u);
+  EXPECT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
 }
 
 TEST(NetServerTest, SlowLorisPartialFrameTimesOut) {
@@ -257,7 +259,7 @@ TEST(NetServerTest, SlowLorisPartialFrameTimesOut) {
     if (f.ok() && f->type == FrameType::kError) continue;  // Then EOF.
   }
   EXPECT_LT(NowSecondsSteady() - start, 5.0);
-  EXPECT_GE(h.server->protocol_errors(), 1u);
+  EXPECT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
 }
 
 TEST(NetServerTest, IdleCompleteFrameConnectionIsNotTimedOut) {
@@ -336,7 +338,7 @@ TEST(NetServerTest, KeepaliveProgressFramesDuringStall) {
     break;
   }
   EXPECT_GE(progress, 2);
-  EXPECT_GE(h.server->keepalives_sent(), 2u);
+  EXPECT_GE(SeriesValue(h.metrics, "tarpit_net_keepalives_total"), 2);
 }
 
 TEST(NetServerTest, DelayBeforeServePunishesKnownOffenders) {
@@ -353,7 +355,7 @@ TEST(NetServerTest, DelayBeforeServePunishesKnownOffenders) {
   double start = NowSecondsSteady();
   ASSERT_TRUE(fresh.Hello(/*identity=*/100).ok());
   EXPECT_LT(NowSecondsSteady() - start, 0.3);
-  EXPECT_EQ(h.server->accept_delays(), 0u);
+  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 0);
 
   // Known offender: one external signal doubles the factor (growth
   // 2.0 >= threshold 1.5), so the NEXT hello parks before serving.
@@ -364,7 +366,7 @@ TEST(NetServerTest, DelayBeforeServePunishesKnownOffenders) {
   start = NowSecondsSteady();
   ASSERT_TRUE(offender.Hello(/*identity=*/666).ok());
   EXPECT_GE(NowSecondsSteady() - start, 0.4);
-  EXPECT_EQ(h.server->accept_delays(), 1u);
+  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 1);
 }
 
 TEST(NetServerTest, BackpressureClosesUnreadingClient) {
@@ -386,11 +388,11 @@ TEST(NetServerTest, BackpressureClosesUnreadingClient) {
   // Never read while the server is producing: the kernel buffers fill,
   // the server's write buffer crosses the cap, and it must give up.
   const double start = NowSecondsSteady();
-  while (h.server->protocol_errors() == 0 &&
+  while (h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total") == 0 &&
          NowSecondsSteady() - start < 10.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_GE(h.server->protocol_errors(), 1u);
+  ASSERT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
   // The close is observable client-side too: drain what the kernel
   // already buffered and hit the FIN (or RST).
   bool closed = false;
@@ -507,8 +509,8 @@ TEST(NetServerTest, PipelinedFrameLimitClosesOnlyTheAbuser) {
             static_cast<uint8_t>(StatusCode::kResourceExhausted));
   auto eof = abuser.RecvFrame(10.0);
   EXPECT_FALSE(eof.ok());  // Closed: no response follows the error.
-  EXPECT_EQ(h.server->responses_sent(), 0u);
-  EXPECT_EQ(h.db->delay_scheduler()->cancelled_total(), 1u);
+  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), 0);
+  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_scheduler_cancelled_total"), 1);
   EXPECT_EQ(h.metrics
                 .GetCounter("tarpit_net_protocol_errors_total",
                             {{"reason", "pipeline_overflow"}})
@@ -548,8 +550,8 @@ TEST(NetServerTest, ZeroChargeBurstOf10kFramesServesInOrder) {
     ASSERT_TRUE(HasRowWithKey(r.text, 1 + i % 64))
         << "frame " << i << ": " << r.text;
   }
-  EXPECT_EQ(h.server->protocol_errors(), 0u);
-  EXPECT_EQ(h.server->responses_sent(), static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 0);
+  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), kFrames);
   EXPECT_EQ(h.server->peak_parked_connections(), 0u);
 }
 
@@ -583,7 +585,7 @@ TEST(NetServerTest, HelloCannotChooseItsOwnSubnet) {
   const double start = NowSecondsSteady();
   ASSERT_TRUE(spoofer.Hello(/*identity=*/4242, kClaimedIpv4).ok());
   EXPECT_GE(NowSecondsSteady() - start, 0.3);
-  EXPECT_EQ(h.server->accept_delays(), 1u);
+  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 1);
 }
 
 // Satellite regression: shutdown with ~1k connections parked mid-stall
@@ -591,6 +593,261 @@ TEST(NetServerTest, HelloCannotChooseItsOwnSubnet) {
 // short, and (d) keep every charge on the books. This pins the
 // documented ordering: stop accepting -> drain connections -> only
 // then may the scheduler die.
+// "name{k=v,...}" for every series in `snap`, sorted.
+std::vector<std::string> SeriesInventory(const obs::RegistrySnapshot& snap) {
+  std::vector<std::string> out;
+  for (const obs::MetricSnapshot& m : snap.metrics) {
+    std::string s = m.name + "{";
+    for (size_t i = 0; i < m.labels.size(); ++i) {
+      if (i > 0) s += ",";
+      s += m.labels[i].first + "=" + m.labels[i].second;
+    }
+    out.push_back(s + "}");
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Polls `series` until it reads `want` (the server counts on its loop
+// threads, after the client has seen the effect).
+void AwaitSeries(const obs::MetricRegistry& metrics, std::string_view name,
+                 const obs::Labels& labels, int64_t want) {
+  const double start = NowSecondsSteady();
+  while (SeriesValue(metrics, name, labels) != want &&
+         NowSecondsSteady() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+// The registry is the only source of the engine's event counts, so its
+// inventory is pinned: the tarpit_server wiring (door, server, and the
+// reputation store on one registry) driven through one fixed sequence
+// must publish exactly this set of (name, labels), and the counts that
+// the sequence fixes by construction. A series that disappears, appears
+// or double-counts fails here.
+TEST(NetServerTest, RegistryInventory) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tarpit_net_inventory_" +
+       std::to_string(
+           std::chrono::steady_clock::now().time_since_epoch().count()));
+  fs::create_directories(dir);
+  RealClock clock;
+  obs::MetricRegistry metrics;
+  ReputationOptions ropts;
+  ropts.metrics = &metrics;
+  ReputationStore reputation(ropts);
+
+  // Update-rate pricing with c = 0: a never-updated tuple parks for the
+  // cap, an updated one is charged exactly 0 (completes inline).
+  ProtectedDatabaseOptions dopts;
+  dopts.mode = DelayMode::kUpdateRate;
+  dopts.update.c = 0.0;
+  dopts.update.bounds = {0.0, 1.0};
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = true;
+  copts.async_stalls = true;
+  copts.metrics = &metrics;
+  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                  &clock, dopts, copts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto db = std::move(*opened);
+  ASSERT_TRUE(
+      db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+          .ok());
+  for (int i = 1; i <= 64; ++i) {
+    ASSERT_TRUE(
+        db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
+            .ok());
+  }
+
+  TarpitServerOptions sopts;
+  sopts.num_event_loops = 2;
+  sopts.accept_delay_seconds = 0.5;
+  sopts.reputation = &reputation;
+  sopts.metrics = &metrics;
+  TarpitServer server(db.get(), &clock, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    FrameClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(client.Hello(/*identity=*/11).ok());
+    auto parked = client.GetByKey(1);  // Never updated: parks 1 s.
+    ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+    EXPECT_EQ(parked->status_code, static_cast<uint8_t>(StatusCode::kOk));
+    EXPECT_EQ(parked->delay_micros, 1000000u);
+    auto update = client.Query("UPDATE items SET v = 9.5 WHERE id = 2");
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    EXPECT_EQ(update->status_code, static_cast<uint8_t>(StatusCode::kOk));
+    auto select = client.Query("SELECT * FROM items WHERE id = 2");
+    ASSERT_TRUE(select.ok()) << select.status().ToString();
+    EXPECT_EQ(select->status_code, static_cast<uint8_t>(StatusCode::kOk));
+    EXPECT_EQ(select->row_count, 1u);
+    EXPECT_EQ(select->delay_micros, 0u);
+    auto zero = client.GetByKey(2);  // Updated: charged 0.
+    ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+    EXPECT_EQ(zero->status_code, static_cast<uint8_t>(StatusCode::kOk));
+    EXPECT_EQ(zero->delay_micros, 0u);
+    auto bad = client.Query("SELEC * FROM items");
+    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+    EXPECT_NE(bad->status_code, static_cast<uint8_t>(StatusCode::kOk));
+  }
+  {
+    FrameClient quitter;  // Hangs up mid-stall.
+    ASSERT_TRUE(quitter.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(quitter.Hello(/*identity=*/12).ok());
+    ASSERT_TRUE(quitter.SendFrame(FrameType::kGetKey, GetKeyPayload(3)).ok());
+    const double start = NowSecondsSteady();
+    while (server.parked_connections() == 0 &&
+           NowSecondsSteady() - start < 10.0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.parked_connections(), 1u);
+    quitter.Close();
+  }
+  AwaitSeries(metrics, "tarpit_net_hangups_mid_stall_total", {}, 1);
+  {
+    FrameClient fuzzer;  // One malformed frame: a short get-key payload.
+    ASSERT_TRUE(fuzzer.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(fuzzer.SendFrame(FrameType::kGetKey, "xx").ok());
+    AwaitSeries(metrics, "tarpit_net_protocol_errors_total",
+                {{"reason", "malformed"}}, 1);
+  }
+  server.Stop();
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  std::vector<std::string> expected = {
+      "tarpit_btree_write_restarts_total{table=items}",
+      "tarpit_bufferpool_evictions_total{pool=heap,table=items}",
+      "tarpit_bufferpool_evictions_total{pool=index,table=items}",
+      "tarpit_bufferpool_hits_total{pool=heap,table=items}",
+      "tarpit_bufferpool_hits_total{pool=index,table=items}",
+      "tarpit_bufferpool_misses_total{pool=heap,table=items}",
+      "tarpit_bufferpool_misses_total{pool=index,table=items}",
+      "tarpit_db_cancelled_total{}",
+      "tarpit_db_requests_total{}",
+      "tarpit_delay_charged_ns{policy=update-rate}",
+      "tarpit_mvcc_commit_epoch{}",
+      "tarpit_mvcc_ddl_fences_total{}",
+      "tarpit_mvcc_live_versions{}",
+      "tarpit_mvcc_min_active_epoch{}",
+      "tarpit_mvcc_reclaim_passes_total{}",
+      "tarpit_mvcc_snapshot_pins_total{}",
+      "tarpit_mvcc_versions_applied_total{}",
+      "tarpit_mvcc_versions_installed_total{}",
+      "tarpit_mvcc_versions_reclaimed_total{}",
+      "tarpit_net_accept_delays_total{}",
+      "tarpit_net_accept_micros{}",
+      "tarpit_net_active_connections{}",
+      "tarpit_net_bytes_read_total{}",
+      "tarpit_net_bytes_written_total{}",
+      "tarpit_net_connections_total{kind=frame}",
+      "tarpit_net_connections_total{kind=http}",
+      "tarpit_net_frames_read_total{}",
+      "tarpit_net_hangups_mid_stall_total{}",
+      "tarpit_net_http_requests_total{}",
+      "tarpit_net_keepalives_total{}",
+      "tarpit_net_park_micros{}",
+      "tarpit_net_parked_connections_peak{}",
+      "tarpit_net_parked_connections{}",
+      "tarpit_net_protocol_errors_total{reason=backpressure}",
+      "tarpit_net_protocol_errors_total{reason=malformed}",
+      "tarpit_net_protocol_errors_total{reason=oversized}",
+      "tarpit_net_protocol_errors_total{reason=pipeline_overflow}",
+      "tarpit_net_protocol_errors_total{reason=read_timeout}",
+      "tarpit_net_read_micros{}",
+      "tarpit_net_responses_total{status=error}",
+      "tarpit_net_responses_total{status=ok}",
+      "tarpit_net_write_micros{}",
+      "tarpit_plan_cache_evictions_total{table=items}",
+      "tarpit_plan_cache_hits_total{table=items}",
+      "tarpit_plan_cache_misses_total{table=items}",
+      "tarpit_reputation_escalations_total{door=concurrent}",
+      "tarpit_reputation_evictions_total{}",
+      "tarpit_reputation_signals_total{source=breadth}",
+      "tarpit_reputation_signals_total{source=external}",
+      "tarpit_reputation_signals_total{source=rate_anomaly}",
+      "tarpit_reputation_tracked_principals{scope=identity}",
+      "tarpit_reputation_tracked_principals{scope=subnet24}",
+      "tarpit_row_cache_hits_total{}",
+      "tarpit_row_cache_misses_total{}",
+      "tarpit_scan_batch_rows{table=items}",
+      "tarpit_scheduler_cancelled_total{}",
+      "tarpit_scheduler_cascades_total{}",
+      "tarpit_scheduler_completion_queue_depth{}",
+      "tarpit_scheduler_dispatch_lag_micros{}",
+      "tarpit_scheduler_driver_wakes_total{}",
+      "tarpit_scheduler_fired_total{}",
+      "tarpit_scheduler_overflow_promotions_total{}",
+      "tarpit_scheduler_park_micros{}",
+      "tarpit_scheduler_parked_peak{}",
+      "tarpit_scheduler_parked{}",
+      "tarpit_scheduler_scheduled_total{}",
+      "tarpit_wal_append_bytes_total{table=items}",
+      "tarpit_wal_fsync_micros{table=items}",
+      "tarpit_wal_group_commit_batch_size{table=items}",
+      "tarpit_write_batch_ops{}",
+      "tarpit_write_batches_total{}",
+  };
+  for (const char* kind : {"hits", "misses"}) {
+    for (const char* pool : {"heap", "index"}) {
+      for (int shard = 0; shard < 16; ++shard) {
+        expected.push_back(std::string("tarpit_bufpool_shard_") + kind +
+                           "_total{pool=" + pool +
+                           ",shard=" + std::to_string(shard) +
+                           ",table=items}");
+      }
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  const obs::RegistrySnapshot snap = metrics.Snapshot();
+  const std::vector<std::string> actual = SeriesInventory(snap);
+  if (actual != expected) {
+    std::string listing;
+    for (const std::string& s : actual) listing += "      \"" + s + "\",\n";
+    ADD_FAILURE() << "registry inventory changed; it is now:\n" << listing;
+  }
+
+  auto value = [&](std::string_view name, const obs::Labels& labels = {}) {
+    return SeriesValue(metrics, name, labels);
+  };
+  EXPECT_EQ(value("tarpit_net_connections_total", {{"kind", "frame"}}), 3);
+  EXPECT_EQ(value("tarpit_net_connections_total", {{"kind", "http"}}), 0);
+  EXPECT_EQ(value("tarpit_net_responses_total", {{"status", "ok"}}), 4);
+  EXPECT_EQ(value("tarpit_net_responses_total", {{"status", "error"}}), 1);
+  EXPECT_EQ(value("tarpit_net_hangups_mid_stall_total"), 1);
+  EXPECT_EQ(value("tarpit_net_accept_delays_total"), 0);
+  EXPECT_EQ(value("tarpit_net_keepalives_total"), 0);
+  EXPECT_EQ(
+      value("tarpit_net_protocol_errors_total", {{"reason", "malformed"}}), 1);
+  for (const char* reason :
+       {"oversized", "read_timeout", "pipeline_overflow", "backpressure"}) {
+    EXPECT_EQ(value("tarpit_net_protocol_errors_total", {{"reason", reason}}),
+              0)
+        << reason;
+  }
+  EXPECT_EQ(value("tarpit_reputation_signals_total", {{"source", "external"}}),
+            1);
+  const int64_t scheduled = value("tarpit_scheduler_scheduled_total");
+  const int64_t fired = value("tarpit_scheduler_fired_total");
+  const int64_t cancelled = value("tarpit_scheduler_cancelled_total");
+  EXPECT_GT(scheduled, 0);
+  EXPECT_EQ(scheduled, fired + cancelled);
+  EXPECT_EQ(cancelled, 1);  // The hang-up.
+  // Three gets found a row: the parked one, the zero-charge one and the
+  // hang-up's; each is exactly one row-cache hit or miss.
+  EXPECT_EQ(value("tarpit_row_cache_hits_total") +
+                value("tarpit_row_cache_misses_total"),
+            3);
+  EXPECT_EQ(value("tarpit_mvcc_versions_installed_total"), 1);
+  EXPECT_EQ(value("tarpit_mvcc_versions_reclaimed_total"),
+            value("tarpit_mvcc_versions_installed_total"));
+
+  db.reset();
+  fs::remove_all(dir);
+}
+
 TEST(NetShutdownTest, ShutdownWithParkedConnectionsDrainsClean) {
   const size_t kConns = 1000;
   const size_t fds_before = OpenFdCount();
@@ -627,7 +884,7 @@ TEST(NetShutdownTest, ShutdownWithParkedConnectionsDrainsClean) {
     // (a) Prompt: cancellation, not stall expiry (stalls are 30s).
     EXPECT_LT(NowSecondsSteady() - stop_start, 10.0);
     // (c) No stall served short: zero responses went out.
-    EXPECT_EQ(h.server->responses_sent(), 0u);
+    EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), 0);
     EXPECT_EQ(h.server->parked_connections(), 0u);
     EXPECT_EQ(h.server->active_connections(), 0u);
     EXPECT_EQ(h.server->peak_parked_connections(), kConns);

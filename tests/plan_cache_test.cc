@@ -11,6 +11,8 @@
 #include "common/clock.h"
 #include "core/concurrent_db.h"
 #include "core/protected_db.h"
+#include "obs/metrics.h"
+#include "registry_series.h"
 #include "sql/plan_cache.h"
 #include "storage/database.h"
 
@@ -47,21 +49,33 @@ class PlanCacheTest : public ::testing::Test {
     ASSERT_TRUE(t.ok()) << t.status().ToString();
   }
 
+  int64_t Hits() const {
+    return SeriesValue(metrics_, "tarpit_plan_cache_hits_total");
+  }
+  int64_t Misses() const {
+    return SeriesValue(metrics_, "tarpit_plan_cache_misses_total");
+  }
+  int64_t Evictions() const {
+    return SeriesValue(metrics_, "tarpit_plan_cache_evictions_total");
+  }
+
   fs::path dir_;
   std::unique_ptr<Database> db_;
+  obs::MetricRegistry metrics_;
 };
 
 TEST_F(PlanCacheTest, HitReturnsSamePreparedStatement) {
   CreateItems();
   PlanCache cache(64, db_.get());
+  cache.BindMetrics(&metrics_, {});
   auto first = cache.Get("SELECT * FROM items WHERE id = 5");
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   auto second = cache.Get("SELECT * FROM items WHERE id = 5");
   ASSERT_TRUE(second.ok());
   // Same compilation object: hits share, not re-parse.
   EXPECT_EQ(first->get(), second->get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(Hits(), 1);
+  EXPECT_EQ(Misses(), 1);
   EXPECT_TRUE((*first)->has_select_plan);
   EXPECT_EQ((*first)->select_plan.kind, AccessPathKind::kPointLookup);
   EXPECT_EQ((*first)->select_plan.point_key, 5);
@@ -71,6 +85,7 @@ TEST_F(PlanCacheTest, HitReturnsSamePreparedStatement) {
 TEST_F(PlanCacheTest, DistinctLiteralsAreDistinctEntries) {
   CreateItems();
   PlanCache cache(64, db_.get());
+  cache.BindMetrics(&metrics_, {});
   auto a = cache.Get("SELECT * FROM items WHERE id = 5");
   auto b = cache.Get("SELECT * FROM items WHERE id = 7");
   ASSERT_TRUE(a.ok());
@@ -80,13 +95,14 @@ TEST_F(PlanCacheTest, DistinctLiteralsAreDistinctEntries) {
   EXPECT_NE(a->get(), b->get());
   EXPECT_EQ((*a)->select_plan.point_key, 5);
   EXPECT_EQ((*b)->select_plan.point_key, 7);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(Misses(), 2);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST_F(PlanCacheTest, SchemaVersionMismatchRecompiles) {
   CreateItems();
   PlanCache cache(64, db_.get());
+  cache.BindMetrics(&metrics_, {});
   auto before = cache.Get("SELECT * FROM items WHERE name = 'x'");
   ASSERT_TRUE(before.ok());
   // No index on `name` yet: full scan.
@@ -105,20 +121,21 @@ TEST_F(PlanCacheTest, SchemaVersionMismatchRecompiles) {
   // The recompiled plan sees the new index.
   EXPECT_EQ((*after)->select_plan.kind,
             AccessPathKind::kSecondaryLookup);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(Misses(), 2);
+  EXPECT_EQ(Hits(), 0);
 }
 
 TEST_F(PlanCacheTest, InvalidateDropsEverything) {
   CreateItems();
   PlanCache cache(64, db_.get());
+  cache.BindMetrics(&metrics_, {});
   ASSERT_TRUE(cache.Get("SELECT * FROM items WHERE id = 1").ok());
   ASSERT_TRUE(cache.Get("SELECT * FROM items WHERE id = 2").ok());
   EXPECT_EQ(cache.size(), 2u);
   cache.Invalidate();
   EXPECT_EQ(cache.size(), 0u);
   ASSERT_TRUE(cache.Get("SELECT * FROM items WHERE id = 1").ok());
-  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(Misses(), 3);
 }
 
 TEST_F(PlanCacheTest, EvictsLeastRecentlyUsed) {
@@ -126,6 +143,7 @@ TEST_F(PlanCacheTest, EvictsLeastRecentlyUsed) {
   // Capacity 8 over 8 stripes = 1 entry per stripe: the second
   // statement landing on a stripe evicts the first.
   PlanCache cache(8, db_.get());
+  cache.BindMetrics(&metrics_, {});
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(cache
                     .Get("SELECT * FROM items WHERE id = " +
@@ -133,16 +151,17 @@ TEST_F(PlanCacheTest, EvictsLeastRecentlyUsed) {
                     .ok());
   }
   EXPECT_LE(cache.size(), 8u);
-  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GT(Evictions(), 0);
 }
 
 TEST_F(PlanCacheTest, ParseErrorsAreNotCached) {
   CreateItems();
   PlanCache cache(64, db_.get());
+  cache.BindMetrics(&metrics_, {});
   EXPECT_FALSE(cache.Get("SELEKT garbage").ok());
   EXPECT_FALSE(cache.Get("SELEKT garbage").ok());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);  // Both attempts compiled (and failed).
+  EXPECT_EQ(Misses(), 2);  // Both attempts compiled (and failed).
 }
 
 TEST_F(PlanCacheTest, UnknownTableCachesParseWithoutPlan) {
@@ -176,6 +195,7 @@ class ProtectedPlanCacheTest : public ::testing::Test {
     ProtectedDatabaseOptions opts;
     opts.mode = DelayMode::kNone;
     opts.plan_cache_capacity = cache_capacity;
+    opts.metrics = &metrics_;
     auto pdb = ProtectedDatabase::Open(dir_.string(), "items", &clock_,
                                        opts);
     ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
@@ -193,8 +213,13 @@ class ProtectedPlanCacheTest : public ::testing::Test {
     }
   }
 
+  int64_t Series(std::string_view name) const {
+    return SeriesValue(metrics_, name, {{"table", "items"}});
+  }
+
   fs::path dir_;
   RealClock clock_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<ProtectedDatabase> pdb_;
 };
 
@@ -232,7 +257,7 @@ TEST_F(ProtectedPlanCacheTest, CachedEqualsUncached) {
       EXPECT_EQ(got->result.touched_keys, want->touched_keys) << sql;
     }
   }
-  EXPECT_GT(pdb_->plan_cache()->hits(), 0u);
+  EXPECT_GT(Series("tarpit_plan_cache_hits_total"), 0);
 }
 
 TEST_F(ProtectedPlanCacheTest, DdlThroughFrontDoorInvalidates) {
@@ -267,8 +292,8 @@ TEST_F(ProtectedPlanCacheTest, DisabledCacheStillWorks) {
 TEST_F(ProtectedPlanCacheTest, RepeatedLookupsHitAndStayCorrect) {
   OpenDb(/*cache_capacity=*/128);
   // Setup DDL/INSERTs also went through the cache; count deltas.
-  const uint64_t base_misses = pdb_->plan_cache()->misses();
-  const uint64_t base_hits = pdb_->plan_cache()->hits();
+  const int64_t base_misses = Series("tarpit_plan_cache_misses_total");
+  const int64_t base_hits = Series("tarpit_plan_cache_hits_total");
   for (int round = 0; round < 20; ++round) {
     const int key = 1 + (round % 10);
     Result<ProtectedResult> r = pdb_->ExecuteSql(
@@ -278,8 +303,8 @@ TEST_F(ProtectedPlanCacheTest, RepeatedLookupsHitAndStayCorrect) {
     EXPECT_EQ(r->result.rows[0][0].AsInt(), key);
   }
   // 10 distinct texts -> 10 misses, 10 hits.
-  EXPECT_EQ(pdb_->plan_cache()->misses() - base_misses, 10u);
-  EXPECT_EQ(pdb_->plan_cache()->hits() - base_hits, 10u);
+  EXPECT_EQ(Series("tarpit_plan_cache_misses_total") - base_misses, 10);
+  EXPECT_EQ(Series("tarpit_plan_cache_hits_total") - base_hits, 10);
 }
 
 // Regression for the MVCC/DDL interaction: a CREATE INDEX taking the
@@ -303,6 +328,8 @@ TEST(ConcurrentPlanCacheTest, CreateIndexFencesPendingMvccWrites) {
   copts.serve_delays = false;
   copts.mvcc_reclaim_every_commits = 0;  // Keep versions pending until
   copts.mvcc_reclaim_interval_micros = 0;  // something fences.
+  obs::MetricRegistry metrics;
+  copts.metrics = &metrics;
   auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
                                                   &clock, opts, copts);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -325,9 +352,11 @@ TEST(ConcurrentPlanCacheTest, CreateIndexFencesPendingMvccWrites) {
   ASSERT_TRUE(cdb->ExecuteSql("DELETE FROM items WHERE id = 5").ok());
   ASSERT_GE(cdb->version_store()->live_versions(), 3u);
 
-  const uint64_t fences_before = cdb->ddl_fences();
+  const int64_t fences_before =
+      SeriesValue(metrics, "tarpit_mvcc_ddl_fences_total");
   ASSERT_TRUE(cdb->ExecuteSql("CREATE INDEX idx ON items (name)").ok());
-  EXPECT_GT(cdb->ddl_fences(), fences_before);
+  EXPECT_GT(SeriesValue(metrics, "tarpit_mvcc_ddl_fences_total"),
+            fences_before);
   EXPECT_EQ(cdb->version_store()->live_versions(), 0u);
 
   // The (recompiled, secondary-lookup) plan finds exactly the two

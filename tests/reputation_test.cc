@@ -21,6 +21,7 @@
 #include "defense/reputation.h"
 #include "defense/session_manager.h"
 #include "obs/metrics.h"
+#include "registry_series.h"
 
 namespace tarpit {
 namespace {
@@ -31,6 +32,11 @@ constexpr uint64_t kAlice = 1;
 constexpr uint64_t kBob = 2;
 constexpr uint32_t kSubnetA = 0x0A000000;  // 10.0.0.0/24.
 constexpr uint32_t kSubnetB = 0x0A000100;  // 10.0.1.0/24.
+
+/// Signals of every source that `registry` has counted.
+int64_t Signals(const obs::MetricRegistry& registry) {
+  return registry.Snapshot().Total("tarpit_reputation_signals_total");
+}
 
 // ---------- ReputationStore core behavior ----------
 
@@ -150,6 +156,8 @@ TEST(ReputationStoreTest, BreadthSignalsFireAsCoverageGrows) {
   opts.breadth_signal_stride = 0.01;
   opts.growth = 2.0;
   opts.max_penalty = 1 << 30;
+  obs::MetricRegistry registry;
+  opts.metrics = &registry;
   ReputationStore store(opts);
   const uint64_t n = 10'000;
   // A narrow slice is free.
@@ -162,7 +170,7 @@ TEST(ReputationStoreTest, BreadthSignalsFireAsCoverageGrows) {
     store.ObserveAccess(kAlice, kSubnetA, key, n, 0.0);
   }
   EXPECT_GT(store.IdentityPenalty(kAlice, 0.0), 100.0);
-  EXPECT_GT(store.signals_total(), 10u);
+  EXPECT_GT(Signals(registry), 10);
 }
 
 TEST(ReputationStoreTest, RepeatAccessesToSameKeysStayFree) {
@@ -188,20 +196,23 @@ TEST(ReputationStoreTest, BreadthWalkMatchesGolden) {
   ReputationOptions opts;
   opts.max_penalty = 1e300;
   opts.max_subnet_penalty = 1e300;
+  obs::MetricRegistry registry;
+  opts.metrics = &registry;
   ReputationStore store(opts);
   VirtualClock clock;
   const uint64_t n = 12'179;
   std::vector<std::pair<uint64_t, uint64_t>> fired;  // (access, signals)
-  uint64_t seen = 0;
+  int64_t seen = 0;
   for (uint64_t i = 0; i < n; ++i) {
     clock.SleepForMicros(1000);
     // 7919 is coprime with 12,179 = 19 * 641: every key exactly once.
     const int64_t key = static_cast<int64_t>((i * 7919) % n);
     store.ObserveAccess(kAlice, kSubnetA, key, n,
                         static_cast<double>(clock.NowMicros()) / 1e6);
-    if (store.signals_total() != seen) {
-      fired.emplace_back(i, store.signals_total() - seen);
-      seen = store.signals_total();
+    const int64_t signals = Signals(registry);
+    if (signals != seen) {
+      fired.emplace_back(i, static_cast<uint64_t>(signals - seen));
+      seen = signals;
     }
   }
   // Identity and subnet see the same keys, so each stride of coverage
@@ -222,7 +233,7 @@ TEST(ReputationStoreTest, BreadthWalkMatchesGolden) {
   std::vector<std::pair<uint64_t, uint64_t>> expected;
   for (uint64_t at : kFiredAt) expected.emplace_back(at, at == 10054 ? 4 : 2);
   EXPECT_EQ(fired, expected);
-  EXPECT_EQ(store.signals_total(), 200u);
+  EXPECT_EQ(Signals(registry), 200);
   const double now = static_cast<double>(clock.NowMicros()) / 1e6;
   EXPECT_EQ(store.IdentityPenalty(kAlice, now), 0x1.756222cdaf89bp+99);
   EXPECT_EQ(store.SubnetPenalty(kSubnetA, now), 0x1.2c34aab5538d1p+58);
@@ -406,6 +417,8 @@ TEST_F(ReputationGateTest, PenalizedIdentityPaysMultipliedDelay) {
 TEST_F(ReputationGateTest, RateDenialsFeedReputation) {
   ReputationOptions ropts;
   ropts.breadth_free_fraction = 1.0;  // Count only the denials.
+  obs::MetricRegistry registry;
+  ropts.metrics = &registry;
   ReputationStore store(ropts);
   QueryGateOptions opts;
   opts.per_user_queries_per_second = 0.1;
@@ -428,7 +441,7 @@ TEST_F(ReputationGateTest, RateDenialsFeedReputation) {
   EXPECT_GT(store.PenaltyFactor(alice->id, alice->Subnet24(),
                                 clock_.NowSeconds()),
             1.0);
-  EXPECT_EQ(store.signals_total(), 3u);  // One per denial.
+  EXPECT_EQ(Signals(registry), 3);  // One per denial.
   EXPECT_GT(store.IdentityPenalty(alice->id, clock_.NowSeconds()), 1.0);
 }
 

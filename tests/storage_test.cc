@@ -9,6 +9,8 @@
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "obs/metrics.h"
+#include "registry_series.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/database.h"
@@ -190,7 +192,10 @@ TEST(BufferPoolTest, FetchCachesPages) {
   TempDir dir("bp1");
   DiskManager dm;
   ASSERT_TRUE(dm.Open(dir.file("a.db")).ok());
+  obs::MetricRegistry metrics;
   BufferPool pool(&dm, 4);
+  pool.BindMetrics(metrics.GetCounter("tarpit_bufferpool_hits_total"),
+                   nullptr, nullptr);
   {
     auto guard = pool.NewPage();
     ASSERT_TRUE(guard.ok());
@@ -202,7 +207,7 @@ TEST(BufferPoolTest, FetchCachesPages) {
     ASSERT_TRUE(guard.ok());
     EXPECT_EQ(guard->data()[0], 'a');
   }
-  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(SeriesValue(metrics, "tarpit_bufferpool_hits_total"), 1);
 }
 
 TEST(BufferPoolTest, EvictsLruAndWritesBack) {

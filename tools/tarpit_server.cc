@@ -225,11 +225,13 @@ int main(int argc, char** argv) {
   server.Stop();  // Drain BEFORE the database (and its scheduler) dies.
   db.reset();
   if (temp_dir) fs::remove_all(args.dir);
-  std::printf("stopped: %llu responses, %llu keepalives, %llu hangups "
+  const obs::RegistrySnapshot snap = metrics.Snapshot();
+  std::printf("stopped: %lld responses, %lld keepalives, %lld hangups "
               "mid-stall, peak parked %zu\n",
-              static_cast<unsigned long long>(server.responses_sent()),
-              static_cast<unsigned long long>(server.keepalives_sent()),
-              static_cast<unsigned long long>(server.hangups_mid_stall()),
+              static_cast<long long>(snap.Total("tarpit_net_responses_total")),
+              static_cast<long long>(snap.Total("tarpit_net_keepalives_total")),
+              static_cast<long long>(
+                  snap.Total("tarpit_net_hangups_mid_stall_total")),
               server.peak_parked_connections());
   return 0;
 }

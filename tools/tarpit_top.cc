@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     std::snprintf(
         line, sizeof line,
         "requests   issued=%lld  completed=%llu  parked=%lld  "
-        "peak=%lld  shed=%llu\n",
+        "peak=%lld  shed=%lld\n",
         static_cast<long long>(
             GaugeValue(snap, "tarpit_db_requests_total")),
         static_cast<unsigned long long>(
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
             GaugeValue(snap, "tarpit_scheduler_parked")),
         static_cast<long long>(
             GaugeValue(snap, "tarpit_scheduler_parked_peak")),
-        static_cast<unsigned long long>(governor.shed_total()));
+        static_cast<long long>(snap.Total("tarpit_governor_shed_total")));
     out += line;
     std::snprintf(line, sizeof line,
                   "delay ms   p50=%.2f  p99=%.2f  p999=%.2f\n",
