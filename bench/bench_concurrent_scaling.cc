@@ -88,7 +88,6 @@ ConcurrentDatabaseOptions MakeConcurrentOptions(ConcurrencyMode mode) {
   ConcurrentDatabaseOptions copts;
   copts.mode = mode;
   copts.num_shards = 64;
-  copts.stats_shards = 64;
   copts.epoch_batch = 256;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
   return copts;

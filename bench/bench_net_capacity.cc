@@ -47,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/random.h"
 #include "core/concurrent_db.h"
 #include "core/popularity_delay.h"
@@ -55,6 +54,7 @@
 #include "net/frame.h"
 #include "net/load_client.h"
 #include "net/server.h"
+#include "net/stack.h"
 #include "net/socket.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -82,60 +82,29 @@ double NowSeconds() {
       .count();
 }
 
-struct Served {
-  std::unique_ptr<ConcurrentProtectedDatabase> db;
-  std::unique_ptr<net::TarpitServer> server;
-  fs::path dir;
+/// The stack's options for one phase: `dir` holds the database, and
+/// `stall_lo`/`stall_hi` clamp every read's delay (beta=0 popularity
+/// => the clamp IS the delay); {0, 0} means no delay at all (kNone).
+net::TarpitStackOptions StackOptions(const fs::path& dir, double stall_lo,
+                                     double stall_hi, double beta,
+                                     double scale) {
+  net::TarpitStackOptions o;
+  o.dir = dir.string();
+  o.rows = kRows;
+  o.database.mode =
+      stall_hi > 0 ? DelayMode::kAccessPopularity : DelayMode::kNone;
+  o.database.popularity.beta = beta;
+  o.database.popularity.scale = scale;
+  o.database.popularity.bounds = {stall_lo, stall_hi};
+  o.server.num_event_loops = kEventLoops;
+  o.server.enable_http = false;
+  return o;
+}
 
-  ~Served() {
-    if (server) server->Stop();
-    db.reset();
-    if (!dir.empty()) fs::remove_all(dir);
-  }
-};
-
-/// Database + server on real sockets. `stall_bounds` clamps every
-/// read's delay (beta=0 popularity => the clamp IS the delay);
-/// {0, 0} means no delay at all (kNone).
-void Serve(Served* out, const fs::path& dir, RealClock* clock,
-           obs::MetricRegistry* metrics, double stall_lo, double stall_hi,
-           double beta, double scale, net::TarpitServerOptions sopts,
-           ConcurrencyMode mode = ConcurrencyMode::kSharded) {
-  fs::create_directories(dir);
-  ProtectedDatabaseOptions dopts;
-  dopts.mode = stall_hi > 0 ? DelayMode::kAccessPopularity : DelayMode::kNone;
-  dopts.popularity.beta = beta;
-  dopts.popularity.scale = scale;
-  dopts.popularity.bounds = {stall_lo, stall_hi};
-  dopts.decay_per_request = 1.0;
-  ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
-  copts.serve_delays = true;
-  copts.async_stalls = true;
-  copts.metrics = metrics;
-  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
-                                                  clock, dopts, copts);
+std::unique_ptr<net::TarpitStack> Serve(net::TarpitStackOptions options) {
+  auto opened = net::TarpitStack::Open(std::move(options));
   if (!opened.ok()) std::abort();
-  out->dir = dir;
-  out->db = std::move(*opened);
-  if (!out->db
-           ->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!out->db
-             ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  sopts.metrics = metrics;
-  sopts.num_event_loops = kEventLoops;
-  sopts.enable_http = false;
-  out->server =
-      std::make_unique<net::TarpitServer>(out->db.get(), clock, sopts);
-  if (!out->server->Start().ok()) std::abort();
+  return std::move(*opened);
 }
 
 // ---- Phase 1: parked-connection capacity. ---------------------------
@@ -164,20 +133,19 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
   res.target = std::min(requested, (res.fd_limit - kSlack) / 2);
   res.fd_limited = res.target < requested;
 
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  net::TarpitServerOptions sopts;
+  // Every read stalls 300s: nothing un-parks while we count.
+  net::TarpitStackOptions sopts =
+      StackOptions(dir, 300.0, 300.0, /*beta=*/0.0, /*scale=*/300.0);
   // No keep-alives: 100k pending 1-byte writes per interval would
   // measure the write path, not parking.
-  sopts.keepalive_interval_seconds = 0;
-  sopts.read_timeout_seconds = 300.0;
-  // Every read stalls 300s: nothing un-parks while we count.
-  Served served;
-  Serve(&served, dir, &clock, &metrics, 300.0, 300.0,
-        /*beta=*/0.0, /*scale=*/300.0, sopts);
+  sopts.server.keepalive_interval_seconds = 0;
+  sopts.server.read_timeout_seconds = 300.0;
+  const std::unique_ptr<net::TarpitStack> stack = Serve(sopts);
+  net::TarpitServer* server = stack->server();
+  const obs::MetricRegistry& metrics = stack->metrics();
 
   net::LoadClientOptions lopts;
-  lopts.port = served.server->port();
+  lopts.port = server->port();
   lopts.connections = res.target;
   lopts.connect_burst = 256;
   lopts.key_min = 1;
@@ -194,13 +162,13 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
   while (NowSeconds() - t0 < 120.0) {
     load.Drive(200);
     if (load.done() &&
-        served.server->parked_connections() + load.errors() >= res.target) {
+        server->parked_connections() + load.errors() >= res.target) {
       break;
     }
   }
   res.fill_seconds = NowSeconds() - t0;
   res.connected = load.connected();
-  res.parked_peak = served.server->peak_parked_connections();
+  res.parked_peak = server->peak_parked_connections();
   if (const obs::MetricSnapshot* peak =
           metrics.Snapshot().Find("tarpit_net_parked_connections_peak")) {
     res.parked_gauge_peak = peak->value;
@@ -210,7 +178,7 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
   // Orderly drain with the full population parked: Stop() cancels
   // every park (charges stay), joins the loops, leaks nothing.
   const double t1 = NowSeconds();
-  served.server->Stop();
+  server->Stop();
   res.stop_seconds = NowSeconds() - t1;
   load.CloseAll();
 
@@ -230,11 +198,9 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
 /// -- the comparison isolates the network.
 bench::OpenLoopStats RunInprocOpenLoop(const fs::path& dir,
                                        const bench::OpenLoopOptions& oopts) {
-  RealClock clock;
-  net::TarpitServerOptions sopts;
-  Served served;
-  Serve(&served, dir, &clock, nullptr, 0.0, 0.0, 0.0, 0.0, sopts);
-  auto* db = served.db.get();
+  const std::unique_ptr<net::TarpitStack> stack =
+      Serve(StackOptions(dir, 0.0, 0.0, 0.0, 0.0));
+  auto* db = stack->db();
   return bench::RunOpenLoop(oopts, [db](int t, int i) {
     std::mutex mu;
     std::condition_variable cv;
@@ -253,14 +219,12 @@ bench::OpenLoopStats RunInprocOpenLoop(const fs::path& dir,
 
 bench::OpenLoopStats RunNetworkOpenLoop(const fs::path& dir,
                                         const bench::OpenLoopOptions& oopts) {
-  RealClock clock;
-  net::TarpitServerOptions sopts;
-  Served served;
-  Serve(&served, dir, &clock, nullptr, 0.0, 0.0, 0.0, 0.0, sopts);
+  const std::unique_ptr<net::TarpitStack> stack =
+      Serve(StackOptions(dir, 0.0, 0.0, 0.0, 0.0));
   std::vector<std::unique_ptr<net::FrameClient>> clients;
   for (int t = 0; t < oopts.threads; ++t) {
     clients.push_back(std::make_unique<net::FrameClient>());
-    if (!clients.back()->Connect("127.0.0.1", served.server->port()).ok()) {
+    if (!clients.back()->Connect("127.0.0.1", stack->server()->port()).ok()) {
       std::abort();
     }
   }
@@ -292,20 +256,18 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
   oracle_opts.popularity.bounds = {0.002, 0.05};
   oracle_opts.decay_per_request = 1.0;
 
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  net::TarpitServerOptions sopts;
-  sopts.keepalive_interval_seconds = 0.02;
-  Served served;
+  net::TarpitStackOptions sopts = StackOptions(
+      dir, oracle_opts.popularity.bounds.min_seconds,
+      oracle_opts.popularity.bounds.max_seconds, oracle_opts.popularity.beta,
+      oracle_opts.popularity.scale);
+  sopts.server.keepalive_interval_seconds = 0.02;
   // kGlobalLock: stripe-local popularity stats diverge from a serial
   // replay (each stripe sees 1/Nth of the traffic); the global-lock
   // path is the exact-accounting baseline the oracle models.
-  Serve(&served, dir, &clock, &metrics,
-        oracle_opts.popularity.bounds.min_seconds,
-        oracle_opts.popularity.bounds.max_seconds,
-        oracle_opts.popularity.beta, oracle_opts.popularity.scale, sopts,
-        ConcurrencyMode::kGlobalLock);
-  auto* db = served.db.get();
+  sopts.door.mode = ConcurrencyMode::kGlobalLock;
+  const std::unique_ptr<net::TarpitStack> stack = Serve(sopts);
+  auto* db = stack->db();
+  const uint16_t port = stack->server()->port();
 
   Rng rng(0xD21F7u);
   ZipfKeyGenerator gen(kRows, 1.1);
@@ -319,7 +281,7 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
   const uint64_t count_before = db->Metrics().delays_charged;
 
   net::FrameClient main_conn;
-  if (!main_conn.Connect("127.0.0.1", served.server->port()).ok()) {
+  if (!main_conn.Connect("127.0.0.1", port).ok()) {
     std::abort();
   }
   uint64_t charges_seen = count_before;
@@ -331,7 +293,7 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
       // survive the cancellation.
       ++res.probes;
       net::FrameClient probe;
-      if (!probe.Connect("127.0.0.1", served.server->port()).ok()) {
+      if (!probe.Connect("127.0.0.1", port).ok()) {
         std::abort();
       }
       if (!probe.SendFrame(net::FrameType::kGetKey,
@@ -365,7 +327,7 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
   res.ops = static_cast<size_t>(ops);
   res.measured_delay = db->Metrics().total_delay_seconds - charged_before;
   res.hangups_seen = static_cast<uint64_t>(
-      metrics.Snapshot().Total("tarpit_net_hangups_mid_stall_total"));
+      stack->metrics().Snapshot().Total("tarpit_net_hangups_mid_stall_total"));
   res.drift = res.oracle_delay <= 0
                   ? 1.0
                   : std::fabs(res.measured_delay - res.oracle_delay) /

@@ -94,7 +94,6 @@ ConcurrentDatabaseOptions MakeConcurrentOptions(bool async_stalls) {
   copts.mode = ConcurrencyMode::kGlobalLock;  // Exact serial accounting.
   copts.serve_delays = true;                  // Stalls are real here.
   copts.async_stalls = async_stalls;
-  copts.scheduler.tick_micros = 1000;
   return copts;
 }
 

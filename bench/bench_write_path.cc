@@ -84,7 +84,6 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
   ConcurrentDatabaseOptions copts;
   copts.mode = mode;
   copts.num_shards = 64;
-  copts.stats_shards = 64;
   copts.epoch_batch = epoch_batch;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
   // Fold in larger batches: reclaim applies run in sorted key order,

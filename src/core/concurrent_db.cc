@@ -117,7 +117,7 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
                      inner_->options().popularity.beta != 0.0;
   if (concurrent_options_.mode == ConcurrencyMode::kSharded) {
     ConcurrentCountTrackerOptions topts;
-    topts.num_shards = concurrent_options_.stats_shards;
+    topts.num_shards = concurrent_options_.num_shards;
     topts.epoch_batch = concurrent_options_.epoch_batch;
     topts.rank_reads = reads_need_rank_;
     stats_tracker_ = std::make_unique<ConcurrentCountTracker>(
@@ -151,7 +151,6 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     logical_rows_.store(inner_->table()->NumRows(),
                         std::memory_order_relaxed);
   }
-  last_reclaim_micros_ = inner_->clock()->NowMicros();
   if (concurrent_options_.metrics != nullptr) {
     obs::MetricRegistry* m = concurrent_options_.metrics;
     m_requests_ = m->GetCounter("tarpit_db_requests_total");
@@ -170,9 +169,6 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     m_delay_charged_ns_ = m->GetHistogram(
         "tarpit_delay_charged_ns",
         {{"policy", DelayModeName(inner_->options().mode)}}, ns);
-    // The scheduler reads its registry from its own options; thread it
-    // through so callers set one pointer, not two.
-    concurrent_options_.scheduler.metrics = m;
     // The version store and the epoch manager count their own events.
     obs::Counter* installed =
         m->GetCounter("tarpit_mvcc_versions_installed_total");
@@ -219,8 +215,9 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     }
   }
   if (concurrent_options_.async_stalls) {
-    scheduler_ = std::make_unique<DelayScheduler>(
-        inner_->clock(), concurrent_options_.scheduler);
+    DelaySchedulerOptions sched;
+    sched.metrics = concurrent_options_.metrics;
+    scheduler_ = std::make_unique<DelayScheduler>(inner_->clock(), sched);
   }
 }
 
@@ -826,21 +823,13 @@ Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
 }
 
 void ConcurrentProtectedDatabase::MaybeReclaim() {
-  bool due = false;
-  if (concurrent_options_.mvcc_reclaim_every_commits > 0 &&
-      commits_since_reclaim_ >=
+  if (concurrent_options_.mvcc_reclaim_every_commits == 0 ||
+      commits_since_reclaim_ <
           concurrent_options_.mvcc_reclaim_every_commits) {
-    due = true;
+    return;
   }
-  if (concurrent_options_.mvcc_reclaim_interval_micros > 0 &&
-      inner_->clock()->NowMicros() - last_reclaim_micros_ >=
-          concurrent_options_.mvcc_reclaim_interval_micros) {
-    due = true;
-  }
-  if (!due) return;
   if (version_store_.live_versions() == 0) {
     commits_since_reclaim_ = 0;
-    last_reclaim_micros_ = inner_->clock()->NowMicros();
     return;
   }
   const uint64_t boundary = epoch_mgr_.MinActiveLowerBound();
@@ -848,7 +837,6 @@ void ConcurrentProtectedDatabase::MaybeReclaim() {
   Status st = ReclaimVersions(boundary);
   if (!st.ok() && deferred_mvcc_status_.ok()) deferred_mvcc_status_ = st;
   commits_since_reclaim_ = 0;
-  last_reclaim_micros_ = inner_->clock()->NowMicros();
 }
 
 Status ConcurrentProtectedDatabase::DrainVersions() {
@@ -865,7 +853,6 @@ Status ConcurrentProtectedDatabase::DrainVersions() {
   }
   Status st = ReclaimVersions(target);
   commits_since_reclaim_ = 0;
-  last_reclaim_micros_ = inner_->clock()->NowMicros();
   return st;
 }
 
@@ -999,9 +986,10 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
           std::shared_lock<std::shared_mutex> lock(storage_mu_);
           fetched = table->GetByKey(key);
         }
+        // A miss went to storage whether or not the key exists.
+        if (m_row_misses_ != nullptr) m_row_misses_->Increment();
         if (!fetched.ok()) return fetched.status();
         row = std::move(*fetched);
-        if (m_row_misses_ != nullptr) m_row_misses_->Increment();
         std::lock_guard<std::mutex> lock(stripe.mu);
         if (stripe.rows.size() >= kRowCacheCapacityPerShard) {
           stripe.rows.clear();

@@ -56,10 +56,9 @@ struct RequestPrincipal {
 /// Tuning knobs for the sharded path.
 struct ConcurrentDatabaseOptions {
   ConcurrencyMode mode = ConcurrencyMode::kSharded;
-  /// Lock stripes for the GetByKey row cache (keyed by tuple key).
+  /// Lock stripes for the GetByKey row cache (keyed by tuple key) and
+  /// for the concurrent stats spine.
   size_t num_shards = 16;
-  /// Stripes for the concurrent stats spine.
-  size_t stats_shards = 16;
   /// Requests a stats stripe batches before merging into the rank
   /// index (the epoch; bounds rank/f_max staleness).
   size_t epoch_batch = 64;
@@ -67,14 +66,9 @@ struct ConcurrentDatabaseOptions {
   /// for benches/simulations that measure rather than stall.
   bool serve_delays = true;
   /// Reclaim cadence: fold reclaimable versions into base storage
-  /// every N published commits (0 disables the commit trigger)...
+  /// every N published commits. 0 = versions are folded only at drain
+  /// points (SELECT barriers, checkpoints, DDL fences).
   size_t mvcc_reclaim_every_commits = 64;
-  /// ...and/or whenever this much injected-clock time has passed since
-  /// the last pass (0 disables the time trigger). Both zero = versions
-  /// are folded only at drain points (SELECT barriers, checkpoints,
-  /// DDL fences). Driven by the injected Clock, never the wall clock,
-  /// so VirtualClock tests reclaim deterministically.
-  int64_t mvcc_reclaim_interval_micros = 0;
   /// Async stall scheduling: stalls park on a DelayScheduler (timer
   /// wheel + one driver thread) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
@@ -83,10 +77,9 @@ struct ConcurrentDatabaseOptions {
   /// inline on the submitting thread, and the *Async entry points
   /// complete there once it has passed. Blocking GetByKey/ExecuteSql
   /// wait on the same completion either way.
+  /// The wheel has DelaySchedulerOptions' default geometry. With a
+  /// VirtualClock it fires instantly (simulation mode).
   bool async_stalls = false;
-  /// Wheel geometry used when async_stalls is on.
-  /// With a VirtualClock the wheel fires instantly (simulation mode).
-  DelaySchedulerOptions scheduler;
   /// Per-principal delay escalation seam (the defense layer's
   /// ReputationStore is the implementation). Not owned; must outlive
   /// the database and be safe from concurrent request threads. Null
@@ -463,7 +456,6 @@ class ConcurrentProtectedDatabase {
   std::atomic<uint64_t> mvcc_commits_{0};
   // Reclaim cadence + deferred-failure state. Guarded by writer_mu_.
   uint64_t commits_since_reclaim_ = 0;
-  int64_t last_reclaim_micros_ = 0;
   Status deferred_mvcc_status_ = Status::OK();
   // Write batcher (leader/follower combining). Guarded by batch_mu_.
   std::mutex batch_mu_;

@@ -409,7 +409,7 @@ bool TarpitServer::ProcessFrames(Conn* conn) {
       std::string err;
       switch (conn->decoder.Pop(&f, &err)) {
         case FrameDecoder::Next::kFrame:
-          if (conn->pending.size() >= options_.max_pipelined_frames) {
+          if (conn->pending.size() >= kMaxPipelinedFrames) {
             return ProtocolError(conn, StatusCode::kResourceExhausted,
                                  "pipelined frame limit exceeded",
                                  m_err_pipeline_);
@@ -485,7 +485,7 @@ bool TarpitServer::StartHello(Conn* conn, const Frame& frame) {
         clock_->NowSeconds());
   }
   if (options_.accept_delay_seconds > 0 &&
-      factor >= options_.accept_delay_threshold) {
+      factor >= kAcceptDelayThreshold) {
     const double delay =
         std::min(options_.accept_delay_seconds * factor,
                  kAcceptDelayCapSeconds);

@@ -56,18 +56,14 @@ struct TarpitServerOptions {
   /// stall. 0 disables keep-alives.
   double keepalive_interval_seconds = 5.0;
   /// Delayer-style delay-before-serve: when a principal's reputation
-  /// factor is >= accept_delay_threshold at Hello time, the HelloAck
-  /// is parked for accept_delay_seconds * factor (capped at 30 s)
-  /// BEFORE any query is served. 0 disables.
+  /// factor is >= TarpitServer::kAcceptDelayThreshold at Hello time,
+  /// the HelloAck is parked for accept_delay_seconds * factor (capped
+  /// at 30 s) BEFORE any query is served. 0 disables.
   double accept_delay_seconds = 0.0;
-  double accept_delay_threshold = 1.5;
-  /// Bound on frames a client may pipeline while a request is in
-  /// flight; past it the connection is closed as abusive.
-  size_t max_pipelined_frames = 64;
   /// Reputation store consulted for delay-before-serve factors and fed
   /// a kExternal signal on hang-up mid-stall (disconnect-and-retry
   /// must gain nothing). Not owned; may be null (both features off).
-  /// Typically the same store wired into the database's
+  /// TarpitStack (net/stack.h) wires the same store into the database's
   /// ConcurrentDatabaseOptions::reputation.
   ReputationStore* reputation = nullptr;
   /// tarpit_net_* instruments land here; also the registry the HTTP
@@ -96,6 +92,13 @@ struct TarpitServerOptions {
 /// server never outlives `db`.
 class TarpitServer {
  public:
+  /// Reputation factor at or above which a Hello is delayed before
+  /// it is served (one external signal's growth 2.0 crosses it).
+  static constexpr double kAcceptDelayThreshold = 1.5;
+  /// Bound on frames a client may pipeline while a request is in
+  /// flight; past it the connection is closed as abusive.
+  static constexpr size_t kMaxPipelinedFrames = 64;
+
   /// `db` must have async stalls enabled (a DelayScheduler); `clock`
   /// is the database's clock (reputation timestamps). Neither is
   /// owned; both must outlive the server.

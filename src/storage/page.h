@@ -6,6 +6,19 @@
 #include <cstring>
 #include <shared_mutex>
 
+// TARPIT_TSAN: this translation unit is built with ThreadSanitizer
+// (GCC defines __SANITIZE_THREAD__, Clang has the feature test).
+#if defined(__SANITIZE_THREAD__)
+#define TARPIT_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TARPIT_TSAN 1
+#endif
+#endif
+#ifdef TARPIT_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace tarpit {
 
 /// All on-disk structures use fixed 4 KiB pages.
@@ -77,6 +90,16 @@ class Page {
     page_id_.store(kInvalidPageId, std::memory_order_release);
     is_dirty_.store(false, std::memory_order_relaxed);
     pin_count_.store(0, std::memory_order_relaxed);
+#ifdef TARPIT_TSAN
+    // The frame is about to hold another page, so its latch becomes
+    // another page's latch. Tell TSan it is a new mutex: otherwise its
+    // lock-order graph joins the old page's edges to the new page's
+    // (meta -> root on one page, root -> child on the frame's next)
+    // and reports inversions the B+tree's latch order cannot form.
+    // Only sanitizer builds compile this.
+    __tsan_mutex_destroy(&latch_, 0);
+    __tsan_mutex_create(&latch_, 0);
+#endif
   }
 
  private:

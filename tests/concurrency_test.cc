@@ -104,7 +104,6 @@ TEST_F(ConcurrencyTest, DisjointPartitionsMatchSerialOracle) {
   ConcurrentDatabaseOptions copts;
   copts.mode = ConcurrencyMode::kSharded;
   copts.num_shards = 8;
-  copts.stats_shards = 8;
   copts.epoch_batch = 16;
   copts.serve_delays = false;  // Measure, don't stall.
   OpenDb(kThreads * kKeysPerThread, opts, copts);

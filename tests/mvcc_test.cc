@@ -228,7 +228,6 @@ TEST_F(MvccTest, DmlLowersToVersionStoreAndReadsResolveThroughChains) {
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
   copts.mvcc_reclaim_every_commits = 0;  // Only drains fold versions.
-  copts.mvcc_reclaim_interval_micros = 0;
   OpenDb(16, opts, copts);
   const int64_t setup_fences =
       Series("tarpit_mvcc_ddl_fences_total");  // CREATE TABLE.
@@ -275,7 +274,6 @@ TEST_F(MvccTest, SnapshotPinnedBeforeCommitNeverSeesIt) {
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
   copts.mvcc_reclaim_every_commits = 0;
-  copts.mvcc_reclaim_interval_micros = 0;
   OpenDb(8, opts, copts);
 
   EpochManager::Snapshot before = cdb_->epoch_manager()->Pin();
@@ -297,46 +295,6 @@ TEST_F(MvccTest, SnapshotPinnedBeforeCommitNeverSeesIt) {
   EXPECT_DOUBLE_EQ(MustGet(5), 9.0);
 }
 
-// Satellite 2: reclamation is driven by the injected clock, so a
-// VirtualClock advances it deterministically -- no wall-clock reads.
-TEST_F(MvccTest, ClockDrivenReclaimIsDeterministic) {
-  VirtualClock vclock;
-  ProtectedDatabaseOptions opts;
-  opts.popularity.bounds = {0.0, 10.0};
-  ConcurrentDatabaseOptions copts;
-  copts.mvcc_reclaim_every_commits = 0;         // Time trigger only.
-  copts.mvcc_reclaim_interval_micros = 1'000;   // 1ms of virtual time.
-  OpenDb(8, opts, copts, &vclock);
-
-  ASSERT_TRUE(
-      cdb_->ExecuteSql("UPDATE items SET v = 2.0 WHERE id = 1").ok());
-  ASSERT_TRUE(
-      cdb_->ExecuteSql("UPDATE items SET v = 3.0 WHERE id = 2").ok());
-  // Virtual time has not advanced: nothing may be reclaimed.
-  EXPECT_EQ(cdb_->version_store()->live_versions(), 2u);
-  EXPECT_EQ(Series(kApplied), 0);
-
-  // Cross the interval; the next leader pass must fold everything
-  // (no snapshot is pinned, so the boundary is the current epoch).
-  vclock.AdvanceToMicros(2'000);
-  ASSERT_TRUE(
-      cdb_->ExecuteSql("UPDATE items SET v = 4.0 WHERE id = 3").ok());
-  EXPECT_EQ(cdb_->version_store()->live_versions(), 0u);
-  EXPECT_EQ(Series(kApplied), 3);
-  EXPECT_EQ(Series(kInstalled), Series(kReclaimed));
-
-  // Deterministic repeat: same advance, same outcome.
-  ASSERT_TRUE(
-      cdb_->ExecuteSql("UPDATE items SET v = 5.0 WHERE id = 4").ok());
-  EXPECT_EQ(cdb_->version_store()->live_versions(), 1u);
-  vclock.AdvanceToMicros(4'000);
-  ASSERT_TRUE(
-      cdb_->ExecuteSql("UPDATE items SET v = 6.0 WHERE id = 5").ok());
-  EXPECT_EQ(cdb_->version_store()->live_versions(), 0u);
-  EXPECT_DOUBLE_EQ(MustGet(3), 4.0);
-  EXPECT_DOUBLE_EQ(MustGet(4), 5.0);
-}
-
 // Ineligible statements (here: DDL and a range-predicate UPDATE) take
 // the exclusive fallback behind a version-store fence, so they always
 // observe exact base state.
@@ -345,7 +303,6 @@ TEST_F(MvccTest, ExclusiveFallbackFencesTheVersionStore) {
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
   copts.mvcc_reclaim_every_commits = 0;
-  copts.mvcc_reclaim_interval_micros = 0;
   OpenDb(8, opts, copts);
 
   ASSERT_TRUE(
@@ -382,7 +339,6 @@ TEST_F(MvccTest, CommitsSurviveReopenWithoutReclaim) {
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
   copts.mvcc_reclaim_every_commits = 0;
-  copts.mvcc_reclaim_interval_micros = 0;
   OpenDb(8, opts, copts);
   ASSERT_TRUE(cdb_->Checkpoint().ok());  // Base durable, WAL empty.
 
@@ -494,7 +450,6 @@ TEST_F(MvccTest, MixedReadWriteStorm8Threads) {
   opts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
   copts.num_shards = 8;
-  copts.stats_shards = 8;
   copts.epoch_batch = 16;
   copts.mvcc_reclaim_every_commits = 32;
   OpenDb(kKeys, opts, copts);

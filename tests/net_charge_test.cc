@@ -10,28 +10,22 @@
 // (acceptor + reactors + scheduler driver under TSan).
 
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
-#include "common/clock.h"
-#include "core/concurrent_db.h"
 #include "defense/identity.h"
-#include "defense/reputation.h"
+#include "http_get.h"
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/server.h"
-#include "obs/metrics.h"
+#include "net/stack.h"
 #include "registry_series.h"
 
 namespace tarpit {
 namespace net {
 namespace {
-
-namespace fs = std::filesystem;
 
 double NowSecondsSteady() {
   return std::chrono::duration<double>(
@@ -39,56 +33,29 @@ double NowSecondsSteady() {
       .count();
 }
 
+// The stack is tarpit_server's: its defaults, with only the delay
+// policy and the keep-alive interval changed.
 TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("tarpit_net_charge_" +
-       std::to_string(
-           std::chrono::steady_clock::now().time_since_epoch().count()));
-  fs::create_directories(dir);
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  ReputationStore reputation;
-
+  TarpitStackOptions opts;
   // Every read stalls exactly 3s -- long enough that the hangup
   // beats the expiry by a wide margin.
-  ProtectedDatabaseOptions dopts;
-  dopts.mode = DelayMode::kAccessPopularity;
-  dopts.popularity.beta = 0.0;
-  dopts.popularity.scale = 3.0;
-  dopts.popularity.bounds = {3.0, 3.0};
-  ConcurrentDatabaseOptions copts;
-  copts.serve_delays = true;
-  copts.async_stalls = true;
-  copts.metrics = &metrics;
-  copts.reputation = &reputation;
-  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
-                                                  &clock, dopts, copts);
-  ASSERT_TRUE(opened.ok());
-  auto db = std::move(*opened);
-  ASSERT_TRUE(
-      db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-          .ok());
-  // A LARGE universe matters: with a tiny table, the attacker's single
-  // key access covers enough of the key space to fire the store's
-  // breadth-stride signals too, compounding the factor to ~2^6 and
-  // stretching the escalated stall into minutes. At 4096 rows one
+  opts.database.popularity.beta = 0.0;
+  opts.database.popularity.scale = 3.0;
+  opts.database.popularity.bounds = {3.0, 3.0};
+  opts.server.keepalive_interval_seconds = 0.1;
+  // The default 4096 rows matter: with a tiny table, the attacker's
+  // single key access covers enough of the key space to fire the
+  // store's breadth-stride signals too, compounding the factor to ~2^6
+  // and stretching the escalated stall into minutes. At 4096 rows one
   // access is 0.02% coverage -- the measured factor isolates exactly
   // the hangup signal this test is about.
-  for (int i = 1; i <= 4096; ++i) {
-    ASSERT_TRUE(
-        db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-            .ok());
-  }
-
-  TarpitServerOptions sopts;
-  sopts.keepalive_interval_seconds = 0.1;
-  sopts.accept_delay_seconds = 0.5;
-  sopts.accept_delay_threshold = 1.5;
-  sopts.reputation = &reputation;
-  sopts.metrics = &metrics;
-  TarpitServer server(db.get(), &clock, sopts);
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(opts.rows, 4096);
+  auto opened = TarpitStack::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const std::unique_ptr<TarpitStack> stack = std::move(*opened);
+  ConcurrentProtectedDatabase* db = stack->db();
+  TarpitServer& server = *stack->server();
+  const obs::MetricRegistry& metrics = stack->metrics();
 
   const uint64_t kIdentity = 0xBADF00Du;
   const double before_charge = db->Metrics().total_delay_seconds;
@@ -129,9 +96,9 @@ TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
 
   // (2) The principal's penalty factor escalated (growth 2.0 per
   // external signal; baseline is 1.0).
-  const double factor = reputation.PenaltyFactor(
+  const double factor = stack->reputation().PenaltyFactor(
       kIdentity, /*subnet24=*/Ipv4FromString("127.0.0.1") & 0xFFFFFF00u,
-      clock.NowSeconds());
+      stack->clock()->NowSeconds());
   EXPECT_GE(factor, 1.9);
   // ...and not much more: one hangup = one kExternal signal (growth
   // 2.0). A factor blowup here means some other heuristic misfired.
@@ -158,9 +125,12 @@ TEST(NetChargeTest, HangupMidStallKeepsChargeAndEscalatesReconnect) {
     EXPECT_LE(r->delay_micros, static_cast<uint64_t>(3.0 * 4.2 * 1e6));
   }
 
-  server.Stop();
-  db.reset();
-  fs::remove_all(dir);
+  // The store publishes to the registry /metrics serves.
+  const std::string body = HttpGet(server.http_port(), "/metrics");
+  EXPECT_NE(body.find("200 OK"), std::string::npos);
+  EXPECT_NE(body.find("tarpit_reputation_signals_total"), std::string::npos);
+  EXPECT_NE(body.find("tarpit_reputation_tracked_principals"),
+            std::string::npos);
 }
 
 }  // namespace

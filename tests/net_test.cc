@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,22 +27,18 @@
 
 #include <gtest/gtest.h>
 
-#include "common/clock.h"
 #include "common/random.h"
-#include "core/concurrent_db.h"
-#include "defense/reputation.h"
+#include "http_get.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/load_client.h"
-#include "net/server.h"
+#include "net/stack.h"
 #include "obs/metrics.h"
 #include "registry_series.h"
 
 namespace tarpit {
 namespace net {
 namespace {
-
-namespace fs = std::filesystem;
 
 int StressIters(int default_iters) {
   if (const char* env = std::getenv("TARPIT_STRESS_ITERS")) {
@@ -68,60 +63,26 @@ double NowSecondsSteady() {
       .count();
 }
 
-/// One served database + server on real sockets. Delay shape is
-/// popularity with beta=0 so the bounds clamp forces every request to
-/// a known stall.
-struct ServerHarness {
-  explicit ServerHarness(double delay_min, double delay_max,
-                         TarpitServerOptions sopts = {}, int rows = 64) {
-    dir = fs::temp_directory_path() /
-          ("tarpit_net_test_" +
-           std::to_string(
-               std::chrono::steady_clock::now().time_since_epoch().count()));
-    fs::create_directories(dir);
-    ProtectedDatabaseOptions dopts;
-    dopts.mode = delay_max > 0 ? DelayMode::kAccessPopularity
-                               : DelayMode::kNone;
-    dopts.popularity.beta = 0.0;
-    dopts.popularity.scale = delay_min;
-    dopts.popularity.bounds = {delay_min, delay_max};
-    ConcurrentDatabaseOptions copts;
-    copts.serve_delays = true;
-    copts.async_stalls = true;
-    copts.metrics = &metrics;
-    copts.reputation = sopts.reputation;
-    auto opened = ConcurrentProtectedDatabase::Open(
-        dir.string(), "items", &clock, dopts, copts);
-    if (!opened.ok()) std::abort();
-    db = std::move(*opened);
-    if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-             .ok()) {
-      std::abort();
-    }
-    for (int i = 1; i <= rows; ++i) {
-      if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-               .ok()) {
-        std::abort();
-      }
-    }
-    sopts.metrics = &metrics;
-    server = std::make_unique<TarpitServer>(db.get(), &clock, sopts);
-    Status s = server->Start();
-    if (!s.ok()) std::abort();
-  }
+/// Stack options for a test server: popularity with beta=0, so the
+/// bounds clamp forces every request to a known stall; {0, 0} serves
+/// no delay at all (kNone). The stack's default 4096 rows keep a
+/// principal that reads a few keys below the reputation store's 1%
+/// breadth threshold, so no test's charges are escalated by accident.
+TarpitStackOptions StallOptions(double delay_min, double delay_max) {
+  TarpitStackOptions opts;
+  opts.database.mode =
+      delay_max > 0 ? DelayMode::kAccessPopularity : DelayMode::kNone;
+  opts.database.popularity.beta = 0.0;
+  opts.database.popularity.scale = delay_min;
+  opts.database.popularity.bounds = {delay_min, delay_max};
+  return opts;
+}
 
-  ~ServerHarness() {
-    server->Stop();
-    db.reset();
-    fs::remove_all(dir);
-  }
-
-  fs::path dir;
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  std::unique_ptr<ConcurrentProtectedDatabase> db;
-  std::unique_ptr<TarpitServer> server;
-};
+std::unique_ptr<TarpitStack> Serve(const TarpitStackOptions& opts) {
+  auto opened = TarpitStack::Open(opts);
+  if (!opened.ok()) std::abort();
+  return std::move(*opened);
+}
 
 TEST(NetFrameTest, RoundTripAndDecoder) {
   std::string wire;
@@ -162,13 +123,29 @@ TEST(NetFrameTest, OversizedLengthRejectedBeforeAllocation) {
   EXPECT_EQ(dec.Pop(&f), FrameDecoder::Next::kError);
 }
 
+// The stack wires its own registry and reputation store; a caller that
+// hands it either is refused before anything opens.
+TEST(NetStackTest, OpenRefusesCallerWiring) {
+  obs::MetricRegistry other_registry;
+  ReputationStore other_store;
+  TarpitStackOptions registry_opts;
+  registry_opts.door.metrics = &other_registry;
+  TarpitStackOptions store_opts;
+  store_opts.server.reputation = &other_store;
+  for (const TarpitStackOptions& opts : {registry_opts, store_opts}) {
+    auto opened = TarpitStack::Open(opts);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(NetServerTest, EndToEndQueryAndGetKey) {
-  TarpitServerOptions sopts;
-  sopts.num_event_loops = 2;
-  ServerHarness h(0.01, 0.02, sopts);
+  TarpitStackOptions opts = StallOptions(0.01, 0.02);
+  opts.server.num_event_loops = 2;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   ASSERT_TRUE(client.Hello(/*identity=*/7).ok());
 
   auto get = client.GetByKey(3);
@@ -194,10 +171,10 @@ TEST(NetServerTest, EndToEndQueryAndGetKey) {
 }
 
 TEST(NetServerTest, TruncatedFrameThenHangupIsClean) {
-  ServerHarness h(0.0, 0.0);
+  const std::unique_ptr<TarpitStack> h = Serve(StallOptions(0.0, 0.0));
   {
     FrameClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+    ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
     // Header promises 100 bytes; send 10 and vanish.
     std::string partial;
     AppendU32(&partial, 100);
@@ -208,19 +185,19 @@ TEST(NetServerTest, TruncatedFrameThenHangupIsClean) {
   }
   // The server must shrug it off: a fresh connection still serves.
   FrameClient probe;
-  ASSERT_TRUE(probe.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(probe.Connect("127.0.0.1", h->server()->port()).ok());
   auto r = probe.GetByKey(1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status_code, static_cast<uint8_t>(StatusCode::kOk));
 }
 
 TEST(NetServerTest, OversizedFrameClosedWithError) {
-  TarpitServerOptions sopts;
-  sopts.max_frame_bytes = 4096;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.max_frame_bytes = 4096;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   std::string header;
   AppendU32(&header, 1u << 31);  // 2 GiB claim, zero bytes sent.
   header.push_back(static_cast<char>(FrameType::kQuery));
@@ -238,16 +215,17 @@ TEST(NetServerTest, OversizedFrameClosedWithError) {
     auto eof = client.RecvFrame(5.0);
     EXPECT_FALSE(eof.ok());
   }
-  EXPECT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
+  EXPECT_GE(
+      h->metrics().Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
 }
 
 TEST(NetServerTest, SlowLorisPartialFrameTimesOut) {
-  TarpitServerOptions sopts;
-  sopts.read_timeout_seconds = 0.3;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.read_timeout_seconds = 0.3;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   // Drip 3 header bytes and stall forever.
   ASSERT_TRUE(client.SendRaw(std::string("\x08\x00\x00", 3)).ok());
   const double start = NowSecondsSteady();
@@ -259,16 +237,17 @@ TEST(NetServerTest, SlowLorisPartialFrameTimesOut) {
     if (f.ok() && f->type == FrameType::kError) continue;  // Then EOF.
   }
   EXPECT_LT(NowSecondsSteady() - start, 5.0);
-  EXPECT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
+  EXPECT_GE(
+      h->metrics().Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
 }
 
 TEST(NetServerTest, IdleCompleteFrameConnectionIsNotTimedOut) {
-  TarpitServerOptions sopts;
-  sopts.read_timeout_seconds = 0.2;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.read_timeout_seconds = 0.2;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   auto r = client.GetByKey(1);
   ASSERT_TRUE(r.ok());
   // Sit idle well past the read timeout with NO partial frame: parked
@@ -280,16 +259,16 @@ TEST(NetServerTest, IdleCompleteFrameConnectionIsNotTimedOut) {
 }
 
 TEST(NetServerTest, MalformedFrameFuzzSeeded) {
-  TarpitServerOptions sopts;
-  sopts.max_frame_bytes = 4096;
-  sopts.read_timeout_seconds = 1.0;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.max_frame_bytes = 4096;
+  opts.server.read_timeout_seconds = 1.0;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   const int iters = StressIters(60);
   Rng rng(0xF4A57EEDu);
   for (int i = 0; i < iters; ++i) {
     FrameClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+    ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
     std::string garbage;
     const int len = 1 + static_cast<int>(rng.Next() % 64);
     for (int b = 0; b < len; ++b) {
@@ -310,19 +289,19 @@ TEST(NetServerTest, MalformedFrameFuzzSeeded) {
   }
   // Still alive and serving after the barrage.
   FrameClient probe;
-  ASSERT_TRUE(probe.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(probe.Connect("127.0.0.1", h->server()->port()).ok());
   auto r = probe.GetByKey(1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status_code, static_cast<uint8_t>(StatusCode::kOk));
 }
 
 TEST(NetServerTest, KeepaliveProgressFramesDuringStall) {
-  TarpitServerOptions sopts;
-  sopts.keepalive_interval_seconds = 0.1;
-  ServerHarness h(0.7, 0.7, sopts);
+  TarpitStackOptions opts = StallOptions(0.7, 0.7);
+  opts.server.keepalive_interval_seconds = 0.1;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   ASSERT_TRUE(client.SendFrame(FrameType::kGetKey, GetKeyPayload(1)).ok());
   // The stall is 0.7s with keep-alives every 0.1s: progress frames
   // must arrive BEFORE the response, proving liveness mid-park.
@@ -338,45 +317,45 @@ TEST(NetServerTest, KeepaliveProgressFramesDuringStall) {
     break;
   }
   EXPECT_GE(progress, 2);
-  EXPECT_GE(SeriesValue(h.metrics, "tarpit_net_keepalives_total"), 2);
+  EXPECT_GE(SeriesValue(h->metrics(), "tarpit_net_keepalives_total"), 2);
 }
 
 TEST(NetServerTest, DelayBeforeServePunishesKnownOffenders) {
-  ReputationStore reputation;
-  TarpitServerOptions sopts;
-  sopts.reputation = &reputation;
-  sopts.accept_delay_seconds = 0.4;
-  sopts.accept_delay_threshold = 1.5;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.accept_delay_seconds = 0.4;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   // Fresh principal: HelloAck is immediate.
   FrameClient fresh;
-  ASSERT_TRUE(fresh.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", h->server()->port()).ok());
   double start = NowSecondsSteady();
   ASSERT_TRUE(fresh.Hello(/*identity=*/100).ok());
   EXPECT_LT(NowSecondsSteady() - start, 0.3);
-  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 0);
+  EXPECT_EQ(SeriesValue(h->metrics(), "tarpit_net_accept_delays_total"), 0);
 
   // Known offender: one external signal doubles the factor (growth
   // 2.0 >= threshold 1.5), so the NEXT hello parks before serving.
-  reputation.RecordSignal(/*identity=*/666, /*subnet24=*/0,
-                          h.clock.NowSeconds(), ReputationSignal::kExternal);
+  h->reputation().RecordSignal(/*identity=*/666, /*subnet24=*/0,
+                               h->clock()->NowSeconds(),
+                               ReputationSignal::kExternal);
   FrameClient offender;
-  ASSERT_TRUE(offender.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(offender.Connect("127.0.0.1", h->server()->port()).ok());
   start = NowSecondsSteady();
   ASSERT_TRUE(offender.Hello(/*identity=*/666).ok());
   EXPECT_GE(NowSecondsSteady() - start, 0.4);
-  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 1);
+  EXPECT_EQ(SeriesValue(h->metrics(), "tarpit_net_accept_delays_total"), 1);
 }
 
 TEST(NetServerTest, BackpressureClosesUnreadingClient) {
-  TarpitServerOptions sopts;
-  sopts.max_write_buffer_bytes = 8 * 1024;
-  sopts.so_sndbuf_bytes = 4 * 1024;  // Deterministic EAGAIN on loopback.
-  ServerHarness h(0.0, 0.0, sopts, /*rows=*/60000);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.max_write_buffer_bytes = 8 * 1024;
+  // Deterministic EAGAIN on loopback.
+  opts.server.so_sndbuf_bytes = 4 * 1024;
+  opts.rows = 60000;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
 
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   // Pin our receive window small too, so the kernel cannot absorb the
   // response on our behalf.
   const int rcvbuf = 4 * 1024;
@@ -387,12 +366,14 @@ TEST(NetServerTest, BackpressureClosesUnreadingClient) {
       client.SendFrame(FrameType::kQuery, "SELECT * FROM items").ok());
   // Never read while the server is producing: the kernel buffers fill,
   // the server's write buffer crosses the cap, and it must give up.
+  auto errors = [&] {
+    return h->metrics().Snapshot().Total("tarpit_net_protocol_errors_total");
+  };
   const double start = NowSecondsSteady();
-  while (h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total") == 0 &&
-         NowSecondsSteady() - start < 10.0) {
+  while (errors() == 0 && NowSecondsSteady() - start < 10.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_GE(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 1);
+  ASSERT_GE(errors(), 1);
   // The close is observable client-side too: drain what the kernel
   // already buffered and hit the FIN (or RST).
   bool closed = false;
@@ -410,49 +391,25 @@ TEST(NetServerTest, BackpressureClosesUnreadingClient) {
 }
 
 TEST(NetServerTest, HttpMetricsEndpoint) {
-  TarpitServerOptions sopts;
-  sopts.enable_http = true;
-  ServerHarness h(0.01, 0.02, sopts);
+  const std::unique_ptr<TarpitStack> h = Serve(StallOptions(0.01, 0.02));
 
   FrameClient q;
-  ASSERT_TRUE(q.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(q.Connect("127.0.0.1", h->server()->port()).ok());
   ASSERT_TRUE(q.GetByKey(1).ok());
 
-  FrameClient http;
-  ASSERT_TRUE(http.Connect("127.0.0.1", h.server->http_port()).ok());
-  ASSERT_TRUE(
-      http.SendRaw("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").ok());
-  std::string body;
-  char chunk[4096];
-  while (true) {
-    pollfd pfd{http.fd(), POLLIN, 0};
-    if (::poll(&pfd, 1, 5000) <= 0) break;
-    const ssize_t n = ::recv(http.fd(), chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    body.append(chunk, static_cast<size_t>(n));
-  }
+  const std::string body = HttpGet(h->server()->http_port(), "/metrics");
   EXPECT_NE(body.find("200 OK"), std::string::npos);
   EXPECT_NE(body.find("tarpit_net_responses_total"), std::string::npos);
   EXPECT_NE(body.find("tarpit_net_parked_connections"), std::string::npos);
 
-  FrameClient health;
-  ASSERT_TRUE(health.Connect("127.0.0.1", h.server->http_port()).ok());
-  ASSERT_TRUE(health.SendRaw("GET /healthz HTTP/1.1\r\n\r\n").ok());
-  std::string hb;
-  while (true) {
-    pollfd pfd{health.fd(), POLLIN, 0};
-    if (::poll(&pfd, 1, 5000) <= 0) break;
-    const ssize_t n = ::recv(health.fd(), chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    hb.append(chunk, static_cast<size_t>(n));
-  }
+  const std::string hb = HttpGet(h->server()->http_port(), "/healthz");
   EXPECT_NE(hb.find("200 OK"), std::string::npos);
 }
 
 TEST(NetServerTest, PipelinedFramesServeInOrder) {
-  ServerHarness h(0.01, 0.02);
+  const std::unique_ptr<TarpitStack> h = Serve(StallOptions(0.01, 0.02));
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   // Fire 8 requests back-to-back before reading anything: the server
   // parks them one at a time (engine serializes per connection) and
   // answers in order.
@@ -486,16 +443,16 @@ bool HasRowWithKey(const std::string& text, int64_t k) {
 }
 
 // Frames pipelined behind a PARKED request are bounded: past
-// max_pipelined_frames the connection gets ResourceExhausted and is
-// closed (its park cancelled), while every other connection is served.
+// TarpitServer::kMaxPipelinedFrames the connection gets
+// ResourceExhausted and is closed (its park cancelled), while every
+// other connection is served.
 TEST(NetServerTest, PipelinedFrameLimitClosesOnlyTheAbuser) {
-  TarpitServerOptions sopts;
-  sopts.max_pipelined_frames = 64;
-  ServerHarness h(0.5, 0.5, sopts);
+  const std::unique_ptr<TarpitStack> h = Serve(StallOptions(0.5, 0.5));
 
   FrameClient abuser;
-  ASSERT_TRUE(abuser.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(abuser.Connect("127.0.0.1", h->server()->port()).ok());
   std::string burst;
+  static_assert(TarpitServer::kMaxPipelinedFrames < 100);
   for (int k = 0; k <= 100; ++k) {  // 1 parks, 100 pipeline behind it.
     AppendFrame(&burst, FrameType::kGetKey, GetKeyPayload(1 + k % 64));
   }
@@ -509,16 +466,16 @@ TEST(NetServerTest, PipelinedFrameLimitClosesOnlyTheAbuser) {
             static_cast<uint8_t>(StatusCode::kResourceExhausted));
   auto eof = abuser.RecvFrame(10.0);
   EXPECT_FALSE(eof.ok());  // Closed: no response follows the error.
-  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), 0);
-  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_scheduler_cancelled_total"), 1);
-  EXPECT_EQ(h.metrics
+  EXPECT_EQ(h->metrics().Snapshot().Total("tarpit_net_responses_total"), 0);
+  EXPECT_EQ(SeriesValue(h->metrics(), "tarpit_scheduler_cancelled_total"), 1);
+  EXPECT_EQ(h->metrics()
                 .GetCounter("tarpit_net_protocol_errors_total",
                             {{"reason", "pipeline_overflow"}})
                 ->Value(),
             1);
 
   FrameClient other;
-  ASSERT_TRUE(other.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(other.Connect("127.0.0.1", h->server()->port()).ok());
   auto r = other.GetByKey(2);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->status_code, static_cast<uint8_t>(StatusCode::kOk));
@@ -530,9 +487,9 @@ TEST(NetServerTest, PipelinedFrameLimitClosesOnlyTheAbuser) {
 // order: a completion that re-entered frame processing would nest one
 // stack level per queued frame and overflow here.
 TEST(NetServerTest, ZeroChargeBurstOf10kFramesServesInOrder) {
-  ServerHarness h(0.0, 0.0);
+  const std::unique_ptr<TarpitStack> h = Serve(StallOptions(0.0, 0.0));
   FrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(client.Connect("127.0.0.1", h->server()->port()).ok());
   constexpr int kFrames = 10'000;
   std::string burst;
   for (int i = 0; i < kFrames; ++i) {
@@ -550,21 +507,21 @@ TEST(NetServerTest, ZeroChargeBurstOf10kFramesServesInOrder) {
     ASSERT_TRUE(HasRowWithKey(r.text, 1 + i % 64))
         << "frame " << i << ": " << r.text;
   }
-  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_protocol_errors_total"), 0);
-  EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), kFrames);
-  EXPECT_EQ(h.server->peak_parked_connections(), 0u);
+  EXPECT_EQ(
+      h->metrics().Snapshot().Total("tarpit_net_protocol_errors_total"), 0);
+  EXPECT_EQ(h->metrics().Snapshot().Total("tarpit_net_responses_total"),
+            kFrames);
+  EXPECT_EQ(h->server()->peak_parked_connections(), 0u);
 }
 
 // The principal's /24 is what the server observes, not what the Hello
 // claims: a client on a penalised subnet cannot step out of the subnet
 // penalty by naming another address.
 TEST(NetServerTest, HelloCannotChooseItsOwnSubnet) {
-  ReputationStore reputation;
-  TarpitServerOptions sopts;
-  sopts.reputation = &reputation;
-  sopts.accept_delay_seconds = 0.3;
-  sopts.accept_delay_threshold = 1.5;
-  ServerHarness h(0.0, 0.0, sopts);
+  TarpitStackOptions opts = StallOptions(0.0, 0.0);
+  opts.server.accept_delay_seconds = 0.3;
+  const std::unique_ptr<TarpitStack> h = Serve(opts);
+  ReputationStore& reputation = h->reputation();
 
   // Another identity on 127.0.0.0/24 earned the subnet two signals:
   // subnet factor 1.5^2 >= threshold, for every identity on it.
@@ -572,20 +529,20 @@ TEST(NetServerTest, HelloCannotChooseItsOwnSubnet) {
   constexpr uint32_t kClaimedIpv4 = 0x0A090901u;  // 10.9.9.1
   for (int i = 0; i < 2; ++i) {
     reputation.RecordSignal(/*identity=*/31337, kLoopback24,
-                            h.clock.NowSeconds(),
+                            h->clock()->NowSeconds(),
                             ReputationSignal::kExternal);
   }
-  const double now = h.clock.NowSeconds();
+  const double now = h->clock()->NowSeconds();
   ASSERT_GE(reputation.PenaltyFactor(4242, kLoopback24, now), 1.5);
   ASSERT_LT(reputation.PenaltyFactor(4242, kClaimedIpv4 & 0xFFFFFF00u, now),
             1.5);
 
   FrameClient spoofer;
-  ASSERT_TRUE(spoofer.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(spoofer.Connect("127.0.0.1", h->server()->port()).ok());
   const double start = NowSecondsSteady();
   ASSERT_TRUE(spoofer.Hello(/*identity=*/4242, kClaimedIpv4).ok());
   EXPECT_GE(NowSecondsSteady() - start, 0.3);
-  EXPECT_EQ(SeriesValue(h.metrics, "tarpit_net_accept_delays_total"), 1);
+  EXPECT_EQ(SeriesValue(h->metrics(), "tarpit_net_accept_delays_total"), 1);
 }
 
 // Satellite regression: shutdown with ~1k connections parked mid-stall
@@ -626,48 +583,16 @@ void AwaitSeries(const obs::MetricRegistry& metrics, std::string_view name,
 // the sequence fixes by construction. A series that disappears, appears
 // or double-counts fails here.
 TEST(NetServerTest, RegistryInventory) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("tarpit_net_inventory_" +
-       std::to_string(
-           std::chrono::steady_clock::now().time_since_epoch().count()));
-  fs::create_directories(dir);
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  ReputationOptions ropts;
-  ropts.metrics = &metrics;
-  ReputationStore reputation(ropts);
-
   // Update-rate pricing with c = 0: a never-updated tuple parks for the
   // cap, an updated one is charged exactly 0 (completes inline).
-  ProtectedDatabaseOptions dopts;
-  dopts.mode = DelayMode::kUpdateRate;
-  dopts.update.c = 0.0;
-  dopts.update.bounds = {0.0, 1.0};
-  ConcurrentDatabaseOptions copts;
-  copts.serve_delays = true;
-  copts.async_stalls = true;
-  copts.metrics = &metrics;
-  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
-                                                  &clock, dopts, copts);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  auto db = std::move(*opened);
-  ASSERT_TRUE(
-      db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-          .ok());
-  for (int i = 1; i <= 64; ++i) {
-    ASSERT_TRUE(
-        db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-            .ok());
-  }
-
-  TarpitServerOptions sopts;
-  sopts.num_event_loops = 2;
-  sopts.accept_delay_seconds = 0.5;
-  sopts.reputation = &reputation;
-  sopts.metrics = &metrics;
-  TarpitServer server(db.get(), &clock, sopts);
-  ASSERT_TRUE(server.Start().ok());
+  TarpitStackOptions opts;
+  opts.database.mode = DelayMode::kUpdateRate;
+  opts.database.update.c = 0.0;
+  opts.database.update.bounds = {0.0, 1.0};
+  opts.server.num_event_loops = 2;
+  const std::unique_ptr<TarpitStack> stack = Serve(opts);
+  TarpitServer& server = *stack->server();
+  const obs::MetricRegistry& metrics = stack->metrics();
 
   {
     FrameClient client;
@@ -689,6 +614,10 @@ TEST(NetServerTest, RegistryInventory) {
     ASSERT_TRUE(zero.ok()) << zero.status().ToString();
     EXPECT_EQ(zero->status_code, static_cast<uint8_t>(StatusCode::kOk));
     EXPECT_EQ(zero->delay_micros, 0u);
+    auto absent = client.GetByKey(99999);  // Not in the table.
+    ASSERT_TRUE(absent.ok()) << absent.status().ToString();
+    EXPECT_EQ(absent->status_code,
+              static_cast<uint8_t>(StatusCode::kNotFound));
     auto bad = client.Query("SELEC * FROM items");
     ASSERT_TRUE(bad.ok()) << bad.status().ToString();
     EXPECT_NE(bad->status_code, static_cast<uint8_t>(StatusCode::kOk));
@@ -715,7 +644,7 @@ TEST(NetServerTest, RegistryInventory) {
                 {{"reason", "malformed"}}, 1);
   }
   server.Stop();
-  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(stack->db()->Checkpoint().ok());
 
   std::vector<std::string> expected = {
       "tarpit_btree_write_restarts_total{table=items}",
@@ -815,7 +744,7 @@ TEST(NetServerTest, RegistryInventory) {
   EXPECT_EQ(value("tarpit_net_connections_total", {{"kind", "frame"}}), 3);
   EXPECT_EQ(value("tarpit_net_connections_total", {{"kind", "http"}}), 0);
   EXPECT_EQ(value("tarpit_net_responses_total", {{"status", "ok"}}), 4);
-  EXPECT_EQ(value("tarpit_net_responses_total", {{"status", "error"}}), 1);
+  EXPECT_EQ(value("tarpit_net_responses_total", {{"status", "error"}}), 2);
   EXPECT_EQ(value("tarpit_net_hangups_mid_stall_total"), 1);
   EXPECT_EQ(value("tarpit_net_accept_delays_total"), 0);
   EXPECT_EQ(value("tarpit_net_keepalives_total"), 0);
@@ -835,17 +764,15 @@ TEST(NetServerTest, RegistryInventory) {
   EXPECT_GT(scheduled, 0);
   EXPECT_EQ(scheduled, fired + cancelled);
   EXPECT_EQ(cancelled, 1);  // The hang-up.
-  // Three gets found a row: the parked one, the zero-charge one and the
-  // hang-up's; each is exactly one row-cache hit or miss.
+  // Four gets: three found a row (the parked one, the zero-charge one
+  // and the hang-up's) and one went to storage for an absent key; each
+  // is exactly one row-cache hit or miss.
   EXPECT_EQ(value("tarpit_row_cache_hits_total") +
                 value("tarpit_row_cache_misses_total"),
-            3);
+            4);
   EXPECT_EQ(value("tarpit_mvcc_versions_installed_total"), 1);
   EXPECT_EQ(value("tarpit_mvcc_versions_reclaimed_total"),
             value("tarpit_mvcc_versions_installed_total"));
-
-  db.reset();
-  fs::remove_all(dir);
 }
 
 TEST(NetShutdownTest, ShutdownWithParkedConnectionsDrainsClean) {
@@ -854,13 +781,14 @@ TEST(NetShutdownTest, ShutdownWithParkedConnectionsDrainsClean) {
   double charged = 0.0;
   uint64_t charges = 0;
   {
-    TarpitServerOptions sopts;
-    sopts.num_event_loops = 2;
-    ServerHarness h(30.0, 30.0, sopts);  // Parks outlive the test.
+    TarpitStackOptions opts = StallOptions(30.0, 30.0);
+    opts.server.num_event_loops = 2;
+    // Parks outlive the test.
+    const std::unique_ptr<TarpitStack> h = Serve(opts);
 
     LoadClientOptions lopts;
     lopts.host = "127.0.0.1";
-    lopts.port = h.server->port();
+    lopts.port = h->server()->port();
     lopts.connections = kConns;
     lopts.key_min = 1;
     lopts.key_max = 64;
@@ -873,24 +801,24 @@ TEST(NetShutdownTest, ShutdownWithParkedConnectionsDrainsClean) {
     ASSERT_EQ(lc.requests_sent(), kConns);
     // Let the engine park everything.
     const double park_start = NowSecondsSteady();
-    while (h.server->parked_connections() < kConns &&
+    while (h->server()->parked_connections() < kConns &&
            NowSecondsSteady() - park_start < 30.0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    ASSERT_EQ(h.server->parked_connections(), kConns);
+    ASSERT_EQ(h->server()->parked_connections(), kConns);
 
     const double stop_start = NowSecondsSteady();
-    h.server->Stop();
+    h->server()->Stop();
     // (a) Prompt: cancellation, not stall expiry (stalls are 30s).
     EXPECT_LT(NowSecondsSteady() - stop_start, 10.0);
     // (c) No stall served short: zero responses went out.
-    EXPECT_EQ(h.metrics.Snapshot().Total("tarpit_net_responses_total"), 0);
-    EXPECT_EQ(h.server->parked_connections(), 0u);
-    EXPECT_EQ(h.server->active_connections(), 0u);
-    EXPECT_EQ(h.server->peak_parked_connections(), kConns);
+    EXPECT_EQ(h->metrics().Snapshot().Total("tarpit_net_responses_total"), 0);
+    EXPECT_EQ(h->server()->parked_connections(), 0u);
+    EXPECT_EQ(h->server()->active_connections(), 0u);
+    EXPECT_EQ(h->server()->peak_parked_connections(), kConns);
     // (d) Charges kept: every cancelled stall left its 30s on the
     // ledger (keep-the-charge is what makes hanging up pointless).
-    const auto m = h.db->Metrics();
+    const auto m = h->db()->Metrics();
     charged = m.total_delay_seconds;
     charges = m.delays_charged;
     lc.CloseAll();

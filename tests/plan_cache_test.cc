@@ -327,7 +327,7 @@ TEST(ConcurrentPlanCacheTest, CreateIndexFencesPendingMvccWrites) {
   copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   copts.mvcc_reclaim_every_commits = 0;  // Keep versions pending until
-  copts.mvcc_reclaim_interval_micros = 0;  // something fences.
+                                         // something fences.
   obs::MetricRegistry metrics;
   copts.metrics = &metrics;
   auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",

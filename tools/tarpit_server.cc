@@ -29,48 +29,44 @@
 // finite and >= 0, and --delay-max is at least --delay-min. A bad flag
 // prints a message and exits 2 before anything is opened.
 //
+// The stack (net/stack.h) is the whole wiring: one metrics registry
+// and one reputation store shared by the door and the server, so a
+// hang-up mid-stall escalates the principal's later charges in the
+// engine and /metrics exports the tarpit_reputation_* series.
+//
 // SIGINT/SIGTERM stop the server with the documented drain ordering:
 // stop accepting, cancel every parked stall (charges stay on the
 // books), then stop the reactors and tear down the database.
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 
-#include "common/clock.h"
-#include "core/concurrent_db.h"
-#include "defense/reputation.h"
-#include "net/server.h"
+#include "net/stack.h"
 #include "obs/metrics.h"
 
 using namespace tarpit;
 
 namespace {
 
-namespace fs = std::filesystem;
-
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
-struct Args {
-  uint16_t port = 7437;
-  uint16_t http_port = 7438;
-  size_t loops = 4;
-  int rows = 4096;
-  double delay_scale = 0.05;
-  double delay_min = 0.02;
-  double delay_max = 5.0;
-  double accept_delay = 0.5;
-  double keepalive = 5.0;
-  std::string dir;
-};
+// The stack's defaults are the flag defaults, except the ports: the
+// daemon listens on fixed ones.
+net::TarpitStackOptions DefaultOptions() {
+  net::TarpitStackOptions o;
+  o.server.port = 7437;
+  o.server.http_port = 7438;
+  return o;
+}
 
 // Upper bound on --loops: each loop is a reactor thread.
 constexpr long long kMaxLoops = 1024;
@@ -97,7 +93,8 @@ bool ParseSeconds(const char* s, double* out) {
   return true;
 }
 
-bool ParseArgs(int argc, char** argv, Args* out) {
+bool ParseArgs(int argc, char** argv, net::TarpitStackOptions* out) {
+  DelayBounds& bounds = out->database.popularity.bounds;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto val = [&](const char* prefix) -> const char* {
@@ -108,26 +105,26 @@ bool ParseArgs(int argc, char** argv, Args* out) {
     bool ok = true;
     if (const char* v = val("--port=")) {
       ok = ParseInt(v, 0, 65535, &n);
-      out->port = static_cast<uint16_t>(n);
+      out->server.port = static_cast<uint16_t>(n);
     } else if (const char* v = val("--http-port=")) {
       ok = ParseInt(v, 0, 65535, &n);
-      out->http_port = static_cast<uint16_t>(n);
+      out->server.http_port = static_cast<uint16_t>(n);
     } else if (const char* v = val("--loops=")) {
       ok = ParseInt(v, 1, kMaxLoops, &n);
-      out->loops = static_cast<size_t>(n);
+      out->server.num_event_loops = static_cast<size_t>(n);
     } else if (const char* v = val("--rows=")) {
       ok = ParseInt(v, 0, std::numeric_limits<int>::max(), &n);
       out->rows = static_cast<int>(n);
     } else if (const char* v = val("--delay-scale=")) {
-      ok = ParseSeconds(v, &out->delay_scale);
+      ok = ParseSeconds(v, &out->database.popularity.scale);
     } else if (const char* v = val("--delay-min=")) {
-      ok = ParseSeconds(v, &out->delay_min);
+      ok = ParseSeconds(v, &bounds.min_seconds);
     } else if (const char* v = val("--delay-max=")) {
-      ok = ParseSeconds(v, &out->delay_max);
+      ok = ParseSeconds(v, &bounds.max_seconds);
     } else if (const char* v = val("--accept-delay=")) {
-      ok = ParseSeconds(v, &out->accept_delay);
+      ok = ParseSeconds(v, &out->server.accept_delay_seconds);
     } else if (const char* v = val("--keepalive=")) {
-      ok = ParseSeconds(v, &out->keepalive);
+      ok = ParseSeconds(v, &out->server.keepalive_interval_seconds);
     } else if (const char* v = val("--dir=")) {
       out->dir = v;
     } else {
@@ -139,9 +136,9 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       return false;
     }
   }
-  if (out->delay_max < out->delay_min) {
+  if (bounds.max_seconds < bounds.min_seconds) {
     std::fprintf(stderr, "--delay-max=%g is below --delay-min=%g\n",
-                 out->delay_max, out->delay_min);
+                 bounds.max_seconds, bounds.min_seconds);
     return false;
   }
   return true;
@@ -150,68 +147,23 @@ bool ParseArgs(int argc, char** argv, Args* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) return 2;
+  net::TarpitStackOptions opts = DefaultOptions();
+  if (!ParseArgs(argc, argv, &opts)) return 2;
 
-  const bool temp_dir = args.dir.empty();
-  if (temp_dir) {
-    args.dir = (fs::temp_directory_path() / "tarpit_server_db").string();
-    fs::remove_all(args.dir);
-  }
-  fs::create_directories(args.dir);
-
-  RealClock clock;
-  obs::MetricRegistry metrics;
-  ReputationStore reputation;
-
-  ProtectedDatabaseOptions dopts;
-  dopts.mode = DelayMode::kAccessPopularity;
-  dopts.popularity.scale = args.delay_scale;
-  dopts.popularity.bounds = {args.delay_min, args.delay_max};
-  ConcurrentDatabaseOptions copts;
-  copts.serve_delays = true;
-  copts.async_stalls = true;
-  copts.metrics = &metrics;
-  auto opened = ConcurrentProtectedDatabase::Open(
-      args.dir, "items", &clock, dopts, copts);
+  auto opened = net::TarpitStack::Open(opts);
   if (!opened.ok()) {
-    std::fprintf(stderr, "open database: %s\n",
+    std::fprintf(stderr, "open stack: %s\n",
                  opened.status().ToString().c_str());
     return 1;
   }
-  auto db = std::move(*opened);
-  auto st =
-      db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)");
-  if (!st.ok()) {
-    std::fprintf(stderr, "seed schema: %s\n", st.status().ToString().c_str());
-    return 1;
-  }
-  for (int i = 1; i <= args.rows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::fprintf(stderr, "seed row %d failed\n", i);
-      return 1;
-    }
-  }
-
-  net::TarpitServerOptions sopts;
-  sopts.port = args.port;
-  sopts.http_port = args.http_port;
-  sopts.num_event_loops = args.loops;
-  sopts.keepalive_interval_seconds = args.keepalive;
-  sopts.accept_delay_seconds = args.accept_delay;
-  sopts.reputation = &reputation;
-  sopts.metrics = &metrics;
-  net::TarpitServer server(db.get(), &clock, sopts);
-  Status s = server.Start();
-  if (!s.ok()) {
-    std::fprintf(stderr, "start server: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  std::unique_ptr<net::TarpitStack> stack = std::move(*opened);
+  net::TarpitServer* server = stack->server();
   std::printf("tarpit_server listening: frames on %u, /metrics on %u "
               "(%zu event loops, %d rows, delay [%g, %g]s)\n",
-              server.port(), server.http_port(), args.loops, args.rows,
-              args.delay_min, args.delay_max);
+              server->port(), server->http_port(),
+              opts.server.num_event_loops, opts.rows,
+              opts.database.popularity.bounds.min_seconds,
+              opts.database.popularity.bounds.max_seconds);
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);
@@ -221,17 +173,15 @@ int main(int argc, char** argv) {
   }
 
   std::printf("draining: %zu active, %zu parked\n",
-              server.active_connections(), server.parked_connections());
-  server.Stop();  // Drain BEFORE the database (and its scheduler) dies.
-  db.reset();
-  if (temp_dir) fs::remove_all(args.dir);
-  const obs::RegistrySnapshot snap = metrics.Snapshot();
+              server->active_connections(), server->parked_connections());
+  server->Stop();
+  const obs::RegistrySnapshot snap = stack->metrics().Snapshot();
   std::printf("stopped: %lld responses, %lld keepalives, %lld hangups "
               "mid-stall, peak parked %zu\n",
               static_cast<long long>(snap.Total("tarpit_net_responses_total")),
               static_cast<long long>(snap.Total("tarpit_net_keepalives_total")),
               static_cast<long long>(
                   snap.Total("tarpit_net_hangups_mid_stall_total")),
-              server.peak_parked_connections());
+              server->peak_parked_connections());
   return 0;
 }
