@@ -1,7 +1,7 @@
 // Concurrent scaling of the protected front door: sweeps 1/2/4/8
 // threads over uniform and Zipf workloads against (a) the seed
-// global-mutex wrapper (ConcurrencyMode::kGlobalLock) and (b) the
-// sharded concurrent path (ConcurrencyMode::kSharded), and reports
+// global-mutex wrapper (bench/global_lock_door.h: the serial database
+// behind one mutex) and (b) the sharded concurrent door, and reports
 // per-thread + aggregate GetByKey throughput and the delay-accuracy
 // drift of the epoch-batched concurrent stats spine against a serial
 // tracker oracle.
@@ -37,6 +37,7 @@
 #include "core/popularity_delay.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "global_lock_door.h"
 #include "openloop.h"
 #include "stats/count_tracker.h"
 #include "workload/key_generator.h"
@@ -76,7 +77,7 @@ ProtectedDatabaseOptions MakeDbOptions() {
   opts.decay_per_request = 1.0;
   // Tiny pools: random point lookups through the (single-threaded)
   // storage engine nearly always miss the buffer pool, as in the
-  // Table 5 overhead experiment's disk regime. Both modes share this
+  // Table 5 overhead experiment's disk regime. Both doors share this
   // configuration; the sharded path escapes it through its lock-striped
   // read-through row cache, the global-mutex wrapper cannot.
   opts.table_options.heap_pool_pages = 8;
@@ -84,9 +85,8 @@ ProtectedDatabaseOptions MakeDbOptions() {
   return opts;
 }
 
-ConcurrentDatabaseOptions MakeConcurrentOptions(ConcurrencyMode mode) {
+ConcurrentDatabaseOptions MakeConcurrentOptions() {
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
   copts.num_shards = 64;
   copts.epoch_batch = 256;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
@@ -114,38 +114,11 @@ std::vector<std::vector<int64_t>> MakeSequences(bool zipf, int threads) {
   return seqs;
 }
 
-RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
-                    const std::vector<std::vector<int64_t>>& seqs,
-                    obs::MetricRegistry* metrics) {
-  static int run_id = 0;
-  const fs::path dir = base / ("run_" + std::to_string(run_id++));
-  fs::create_directories(dir);
-
-  RealClock clock;
-  // The row-cache counts are registry series: every run counts them,
-  // into the caller's registry or a run-local one.
-  obs::MetricRegistry run_metrics;
-  if (metrics == nullptr) metrics = &run_metrics;
-  ConcurrentDatabaseOptions copts = MakeConcurrentOptions(mode);
-  copts.metrics = metrics;
-  auto opened = ConcurrentProtectedDatabase::Open(
-      dir.string(), "items", &clock, MakeDbOptions(), copts);
-  if (!opened.ok()) std::abort();
-  auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  if (!db->Checkpoint().ok()) std::abort();
-
-  // Warmup: touch every key once (fills buffer pools / row cache) --
-  // the oracle replays this phase too.
+/// Warms every key once (fills buffer pools / row cache -- the oracle
+/// replays this phase too), then runs one worker per sequence.
+template <typename Door>
+RunResult RunWorkers(Door* db,
+                     const std::vector<std::vector<int64_t>>& seqs) {
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -174,13 +147,44 @@ RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
   res.qps = total_ops / elapsed;
   res.per_thread_qps = res.qps / threads;
   for (double d : delays) res.total_delay += d;
-  const obs::RegistrySnapshot snap = metrics->Snapshot();
-  res.cache_hits =
-      static_cast<uint64_t>(snap.Total("tarpit_row_cache_hits_total"));
-  res.cache_misses =
-      static_cast<uint64_t>(snap.Total("tarpit_row_cache_misses_total"));
-  res.epoch_flushes = db->stats_epoch_flushes();
-  db.reset();
+  return res;
+}
+
+RunResult RunConfig(const fs::path& base, bool global,
+                    const std::vector<std::vector<int64_t>>& seqs,
+                    obs::MetricRegistry* metrics) {
+  static int run_id = 0;
+  const fs::path dir = base / ("run_" + std::to_string(run_id++));
+  fs::create_directories(dir);
+
+  RealClock clock;
+  // The row-cache counts are registry series: every run counts them,
+  // into the caller's registry or a run-local one.
+  obs::MetricRegistry run_metrics;
+  if (metrics == nullptr) metrics = &run_metrics;
+  RunResult res;
+  if (global) {
+    ProtectedDatabaseOptions opts = MakeDbOptions();
+    opts.metrics = metrics;  // Instrumented like the sharded door.
+    bench::GlobalLockDoor db(dir.string(), &clock, opts);
+    bench::LoadItems(&db, kRows);
+    res = RunWorkers(&db, seqs);
+  } else {
+    ConcurrentDatabaseOptions copts = MakeConcurrentOptions();
+    copts.metrics = metrics;
+    auto opened = ConcurrentProtectedDatabase::Open(
+        dir.string(), "items", &clock, MakeDbOptions(), copts);
+    if (!opened.ok()) std::abort();
+    auto db = std::move(*opened);
+    bench::LoadItems(db.get(), kRows);
+    res = RunWorkers(db.get(), seqs);
+    const obs::RegistrySnapshot snap = metrics->Snapshot();
+    res.cache_hits =
+        static_cast<uint64_t>(snap.Total("tarpit_row_cache_hits_total"));
+    res.cache_misses =
+        static_cast<uint64_t>(snap.Total("tarpit_row_cache_misses_total"));
+    res.epoch_flushes = db->stats_epoch_flushes();
+  }
   fs::remove_all(dir);
   return res;
 }
@@ -218,19 +222,10 @@ bench::OpenLoopStats RunOpenLoopSharded(const fs::path& base) {
   RealClock clock;
   auto opened = ConcurrentProtectedDatabase::Open(
       dir.string(), "items", &clock, MakeDbOptions(),
-      MakeConcurrentOptions(ConcurrencyMode::kSharded));
+      MakeConcurrentOptions());
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
+  bench::LoadItems(db.get(), kRows);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -281,25 +276,22 @@ int main() {
   char row_buf[512];
 
   for (bool zipf : {false, true}) {
-    for (ConcurrencyMode mode :
-         {ConcurrencyMode::kGlobalLock, ConcurrencyMode::kSharded}) {
+    for (bool global : {true, false}) {
+      const char* mode = global ? "global" : "sharded";
       for (int threads : thread_counts) {
         const auto seqs = MakeSequences(zipf, threads);
         obs::MetricRegistry* reg = nullptr;
-        if (threads == 8 && mode == ConcurrencyMode::kSharded) {
+        if (threads == 8 && !global) {
           reg = zipf ? &reg_zipf8 : &reg_uniform8;
         }
-        const RunResult r = RunConfig(base, mode, seqs, reg);
+        const RunResult r = RunConfig(base, global, seqs, reg);
         const double hit_pct =
             r.cache_hits + r.cache_misses == 0
                 ? 0.0
                 : 100.0 * static_cast<double>(r.cache_hits) /
                       static_cast<double>(r.cache_hits + r.cache_misses);
         std::printf("%-9s %-8s %-8d %-12.0f %-14.0f %-12.1f %-10llu\n",
-                    zipf ? "zipf" : "uniform",
-                    mode == ConcurrencyMode::kGlobalLock ? "global"
-                                                         : "sharded",
-                    threads, r.qps, r.per_thread_qps, hit_pct,
+                    zipf ? "zipf" : "uniform", mode, threads, r.qps, r.per_thread_qps, hit_pct,
                     static_cast<unsigned long long>(r.epoch_flushes));
 
         std::snprintf(
@@ -308,8 +300,7 @@ int main() {
             "\"threads\": %d, \"qps\": %.1f, \"qps_per_thread\": %.1f, "
             "\"row_cache_hits\": %llu, \"row_cache_misses\": %llu, "
             "\"epoch_flushes\": %llu}",
-            json_rows.empty() ? "" : ",\n", zipf ? "zipf" : "uniform",
-            mode == ConcurrencyMode::kGlobalLock ? "global" : "sharded",
+            json_rows.empty() ? "" : ",\n", zipf ? "zipf" : "uniform", mode,
             threads, r.qps, r.per_thread_qps,
             static_cast<unsigned long long>(r.cache_hits),
             static_cast<unsigned long long>(r.cache_misses),
@@ -317,13 +308,13 @@ int main() {
         json_rows.append(row_buf);
 
         if (!zipf && threads == 8) {
-          if (mode == ConcurrencyMode::kGlobalLock) {
+          if (global) {
             global8_uniform = r.qps;
           } else {
             sharded8_uniform = r.qps;
           }
         }
-        if (mode == ConcurrencyMode::kSharded) {
+        if (!global) {
           const double oracle = SerialOracleDelay(seqs);
           const double drift =
               oracle <= 0 ? 0.0

@@ -71,7 +71,6 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenDb(
   opts.popularity.bounds = {0.0, 10.0};
   opts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;  // Charges recorded, stalls skipped.
   copts.metrics = metrics;
   copts.trace_sink = sink;

@@ -29,8 +29,9 @@
 //   3. drift -- a serial client replays a Zipf stream with every 8th
 //      request issued from a throwaway connection that HANGS UP
 //      mid-stall (the park is cancelled, the charge must not be); the
-//      database's charged-delay total must match a serial CountTracker
-//      oracle replaying the identical key order within 0.01%.
+//      charged-delay total of the door the server runs (beta = 0.3, so
+//      every charge reads rank) must match a serial CountTracker oracle
+//      replaying the identical key order within 0.01%.
 //
 // Env: TARPIT_BENCH_TINY=1 shrinks populations for CI smoke runs;
 // TARPIT_BENCH_JSON=<path> emits BENCH_net.json for the CI gate.
@@ -261,10 +262,6 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
       oracle_opts.popularity.bounds.max_seconds, oracle_opts.popularity.beta,
       oracle_opts.popularity.scale);
   sopts.server.keepalive_interval_seconds = 0.02;
-  // kGlobalLock: stripe-local popularity stats diverge from a serial
-  // replay (each stripe sees 1/Nth of the traffic); the global-lock
-  // path is the exact-accounting baseline the oracle models.
-  sopts.door.mode = ConcurrencyMode::kGlobalLock;
   const std::unique_ptr<net::TarpitStack> stack = Serve(sopts);
   auto* db = stack->db();
   const uint16_t port = stack->server()->port();

@@ -81,7 +81,6 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenDb(
   ProtectedDatabaseOptions opts;
   opts.mode = DelayMode::kAccessPopularity;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;  // Measure engine work, not stalling.
   copts.metrics = metrics;
   copts.trace_sink = sink;

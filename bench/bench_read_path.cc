@@ -3,7 +3,7 @@
 //
 //   1. 8-thread point-read throughput, sharded front door (thread-safe
 //      sharded buffer pool + shared storage lock + striped row cache)
-//      vs the exclusive-lock baseline (ConcurrencyMode::kGlobalLock).
+//      vs the exclusive-lock baseline (bench/global_lock_door.h).
 //      Target: >= 2x (CI gates at >= 1.5x to absorb runner noise).
 //   2. Plan-cache p50: repeated point-lookup SELECT latency with the
 //      statement cache on vs off (lexer -> parser -> planner skipped on
@@ -37,6 +37,7 @@
 #include "core/protected_db.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "global_lock_door.h"
 #include "openloop.h"
 #include "stats/count_tracker.h"
 #include "workload/key_generator.h"
@@ -78,30 +79,17 @@ ProtectedDatabaseOptions MakeDelayOptions() {
 }
 
 std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
-    const fs::path& dir, ConcurrencyMode mode, size_t epoch_batch,
-    Clock* clock, obs::MetricRegistry* metrics) {
+    const fs::path& dir, size_t epoch_batch, Clock* clock) {
   fs::create_directories(dir);
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
   copts.num_shards = 64;
   copts.epoch_batch = epoch_batch;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
-  copts.metrics = metrics;
   auto opened = ConcurrentProtectedDatabase::Open(
       dir.string(), "items", clock, MakeDelayOptions(), copts);
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  if (!db->Checkpoint().ok()) std::abort();
+  bench::LoadItems(db.get(), kRows);
   return db;
 }
 
@@ -124,31 +112,44 @@ std::vector<std::vector<int64_t>> MakeSequences(bool zipf, int threads) {
   return seqs;
 }
 
-/// Part 1: 8-thread GetByKey throughput for one mode.
-double RunThroughput(const fs::path& base, ConcurrencyMode mode,
+/// Part 1: 8-thread GetByKey throughput through one door.
+template <typename Door>
+double RunThroughput(Door* db, Clock* clock,
                      const std::vector<std::vector<int64_t>>& seqs) {
-  static int run_id = 0;
-  const fs::path dir = base / ("tp_" + std::to_string(run_id++));
-  RealClock clock;
-  auto db = OpenConcurrent(dir, mode, /*epoch_batch=*/256, &clock,
-                           nullptr);
   for (int i = 1; i <= kRows; ++i) {  // Warm pools / row cache.
     if (!db->GetByKey(i).ok()) std::abort();
   }
-  const int64_t start = clock.NowMicros();
+  const int64_t start = clock->NowMicros();
   std::vector<std::thread> workers;
   for (const auto& seq : seqs) {
-    workers.emplace_back([&db, &seq] {
+    workers.emplace_back([db, &seq] {
       for (int64_t key : seq) {
         if (!db->GetByKey(key).ok()) std::abort();
       }
     });
   }
   for (auto& w : workers) w.join();
-  const double elapsed = (clock.NowMicros() - start) / 1e6;
-  db.reset();
-  fs::remove_all(dir);
+  const double elapsed = (clock->NowMicros() - start) / 1e6;
   return static_cast<double>(seqs.size()) * kOpsPerThread / elapsed;
+}
+
+double RunThroughput(const fs::path& base, bool global,
+                     const std::vector<std::vector<int64_t>>& seqs) {
+  static int run_id = 0;
+  const fs::path dir = base / ("tp_" + std::to_string(run_id++));
+  RealClock clock;
+  double qps = 0.0;
+  if (global) {
+    fs::create_directories(dir);
+    bench::GlobalLockDoor db(dir.string(), &clock, MakeDelayOptions());
+    bench::LoadItems(&db, kRows);
+    qps = RunThroughput(&db, &clock, seqs);
+  } else {
+    auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock);
+    qps = RunThroughput(db.get(), &clock, seqs);
+  }
+  fs::remove_all(dir);
+  return qps;
 }
 
 /// Part 2: p50 of repeated point-lookup SELECT latency through the
@@ -208,8 +209,7 @@ double RunDrift(const fs::path& base,
   RealClock clock;
   // epoch_batch=1: every access merges into the rank index before the
   // next, so execution order equals oracle order exactly.
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
-                           /*epoch_batch=*/1, &clock, nullptr);
+  auto db = OpenConcurrent(dir, /*epoch_batch=*/1, &clock);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -242,8 +242,7 @@ double RunDrift(const fs::path& base,
 bench::OpenLoopStats RunOpenLoopReads(const fs::path& base) {
   const fs::path dir = base / "openloop";
   RealClock clock;
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
-                           /*epoch_batch=*/256, &clock, nullptr);
+  auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -338,10 +337,8 @@ int main() {
 
   // 1. 8-thread read throughput, sharded vs exclusive-lock baseline.
   const auto seqs = MakeSequences(/*zipf=*/false, /*threads=*/8);
-  const double qps_global =
-      RunThroughput(base, ConcurrencyMode::kGlobalLock, seqs);
-  const double qps_sharded =
-      RunThroughput(base, ConcurrencyMode::kSharded, seqs);
+  const double qps_global = RunThroughput(base, /*global=*/true, seqs);
+  const double qps_sharded = RunThroughput(base, /*global=*/false, seqs);
   const double speedup = qps_global <= 0 ? 0.0 : qps_sharded / qps_global;
   std::printf("read@8t: sharded %.0f qps vs exclusive-lock %.0f qps -> "
               "%.2fx (target >= 2.0x) %s\n",

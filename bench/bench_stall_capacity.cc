@@ -10,8 +10,8 @@
 // simultaneous stalls -- the section 2.4 parallel-attack regime where
 // many registered identities extract (and stall) at once.
 //
-// Two runs against identical kGlobalLock databases (so the only
-// variable is stall scheduling, not the sharded compute path):
+// Two runs against identical databases (so the only variable is
+// stall scheduling):
 //   * blocking: kThreads workers call GetByKey and sleep through their
 //     own stalls. Peak concurrent stalls is structurally <= kThreads.
 //   * async: ONE submitter calls GetByKeyAsync; stalls park on the
@@ -91,8 +91,7 @@ ProtectedDatabaseOptions MakeDbOptions() {
 
 ConcurrentDatabaseOptions MakeConcurrentOptions(bool async_stalls) {
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kGlobalLock;  // Exact serial accounting.
-  copts.serve_delays = true;                  // Stalls are real here.
+  copts.serve_delays = true;  // Stalls are real here.
   copts.async_stalls = async_stalls;
   return copts;
 }

@@ -4,7 +4,7 @@
 //   1. Closed-loop mixed 80/20 read/write throughput at 8 threads:
 //      MVCC write path (snapshot reads + group-committed version-store
 //      writes) vs the exclusive-lock baseline
-//      (ConcurrencyMode::kGlobalLock). Target: >= 2x (the CI gate).
+//      (bench/global_lock_door.h). Target: >= 2x (the CI gate).
 //   2. Open-loop latency, free of coordinated omission: requests fire
 //      on a FIXED arrival schedule (deterministic exponential
 //      interarrivals) and each latency is measured from the INTENDED
@@ -32,6 +32,7 @@
 #include "common/random.h"
 #include "core/concurrent_db.h"
 #include "core/protected_db.h"
+#include "global_lock_door.h"
 #include "openloop.h"
 
 using namespace tarpit;
@@ -77,12 +78,10 @@ ProtectedDatabaseOptions MakeDelayOptions() {
 }
 
 std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
-    const fs::path& dir, ConcurrencyMode mode, size_t epoch_batch,
-    Clock* clock,
+    const fs::path& dir, size_t epoch_batch, Clock* clock,
     ProtectedDatabaseOptions opts = MakeDelayOptions()) {
   fs::create_directories(dir);
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
   copts.num_shards = 64;
   copts.epoch_batch = epoch_batch;
   copts.serve_delays = false;  // Measure the charge, skip the sleep.
@@ -94,17 +93,7 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
                                                   clock, opts, copts);
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  if (!db->Checkpoint().ok()) std::abort();
+  bench::LoadItems(db.get(), kRows);
   return db;
 }
 
@@ -138,20 +127,17 @@ std::vector<std::vector<MixedOp>> MakeMixedOps(int threads, int ops) {
   return all;
 }
 
-/// Part 1: closed-loop 8-thread 80/20 throughput for one config.
-double RunMixedThroughput(const fs::path& base, ConcurrencyMode mode,
+/// Part 1: closed-loop 8-thread 80/20 throughput through one door.
+template <typename Door>
+double RunMixedThroughput(Door* db,
                           const std::vector<std::vector<MixedOp>>& ops) {
-  static int run_id = 0;
-  const fs::path dir = base / ("mixed_" + std::to_string(run_id++));
-  RealClock clock;
-  auto db = OpenConcurrent(dir, mode, /*epoch_batch=*/256, &clock);
   for (int i = 1; i <= kRows; ++i) {  // Warm pools / row cache.
     if (!db->GetByKey(i).ok()) std::abort();
   }
   const int64_t start = NowMicros();
   std::vector<std::thread> workers;
   for (const auto& seq : ops) {
-    workers.emplace_back([&db, &seq] {
+    workers.emplace_back([db, &seq] {
       for (const MixedOp& op : seq) {
         if (op.is_write) {
           if (!db->ExecuteSql(op.sql).ok()) std::abort();
@@ -163,9 +149,26 @@ double RunMixedThroughput(const fs::path& base, ConcurrencyMode mode,
   }
   for (auto& w : workers) w.join();
   const double elapsed = (NowMicros() - start) / 1e6;
-  db.reset();
-  fs::remove_all(dir);
   return static_cast<double>(ops.size()) * ops[0].size() / elapsed;
+}
+
+double RunMixedThroughput(const fs::path& base, bool global,
+                          const std::vector<std::vector<MixedOp>>& ops) {
+  static int run_id = 0;
+  const fs::path dir = base / ("mixed_" + std::to_string(run_id++));
+  RealClock clock;
+  double qps = 0.0;
+  if (global) {
+    fs::create_directories(dir);
+    bench::GlobalLockDoor db(dir.string(), &clock, MakeDelayOptions());
+    bench::LoadItems(&db, kRows);
+    qps = RunMixedThroughput(&db, ops);
+  } else {
+    auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock);
+    qps = RunMixedThroughput(db.get(), ops);
+  }
+  fs::remove_all(dir);
+  return qps;
 }
 
 /// Part 2: open-loop latency on the MVCC config, through the shared
@@ -173,8 +176,7 @@ double RunMixedThroughput(const fs::path& base, ConcurrencyMode mode,
 bench::OpenLoopStats RunOpenLoopMixed(const fs::path& base) {
   const fs::path dir = base / "openloop";
   RealClock clock;
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
-                           /*epoch_batch=*/256, &clock);
+  auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -213,8 +215,7 @@ double RunDrift(const fs::path& base) {
   const fs::path cdir = base / "drift_mvcc";
   // epoch_batch=1: access-side stats merge in submission order, so the
   // two doors see identical tracker states at every step.
-  auto cdb = OpenConcurrent(cdir, ConcurrencyMode::kSharded,
-                            /*epoch_batch=*/1, &vclock, opts);
+  auto cdb = OpenConcurrent(cdir, /*epoch_batch=*/1, &vclock, opts);
 
   const fs::path sdir = base / "drift_serial";
   fs::create_directories(sdir);
@@ -290,15 +291,15 @@ int main() {
   // scheduler hiccup, and the quantity under test is each door's
   // capacity, not the host's worst moment.
   const auto ops = MakeMixedOps(/*threads=*/8, kOpsPerThread);
-  const auto best_mixed = [&](ConcurrencyMode mode) {
+  const auto best_mixed = [&](bool global) {
     double best = 0.0;
     for (int pass = 0; pass < 3; ++pass) {
-      best = std::max(best, RunMixedThroughput(base, mode, ops));
+      best = std::max(best, RunMixedThroughput(base, global, ops));
     }
     return best;
   };
-  const double qps_exclusive = best_mixed(ConcurrencyMode::kGlobalLock);
-  const double qps_mvcc = best_mixed(ConcurrencyMode::kSharded);
+  const double qps_exclusive = best_mixed(/*global=*/true);
+  const double qps_mvcc = best_mixed(/*global=*/false);
   const double speedup =
       qps_exclusive <= 0 ? 0.0 : qps_mvcc / qps_exclusive;
   std::printf("mixed 80/20 @8t: mvcc %.0f qps | exclusive-lock %.0f qps "

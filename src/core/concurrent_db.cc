@@ -111,41 +111,39 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
       mode == DelayMode::kUpdateRate || mode == DelayMode::kCombinedMax;
   // Rank (and f_max) enter the delay formula only through the
   // popularity term's rank^beta; with beta == 0 (or a rank-free mode)
-  // reads can skip the rank index -- flush and lookup -- entirely.
+  // reads can skip the rank index -- flush and lookup -- entirely, and
+  // stay on the shared stats spine.
   reads_need_rank_ = (mode == DelayMode::kAccessPopularity ||
                       mode == DelayMode::kCombinedMax) &&
                      inner_->options().popularity.beta != 0.0;
-  if (concurrent_options_.mode == ConcurrencyMode::kSharded) {
-    ConcurrentCountTrackerOptions topts;
-    topts.num_shards = concurrent_options_.num_shards;
-    topts.epoch_batch = concurrent_options_.epoch_batch;
-    topts.rank_reads = reads_need_rank_;
-    stats_tracker_ = std::make_unique<ConcurrentCountTracker>(
-        inner_->access_tracker(), topts);
-    if (inner_->count_cache() != nullptr) {
-      // Epoch merges double as the persistence batch: the same deltas
-      // that enter the rank index go to the write-behind count cache.
-      // Called under the exclusive stats spine; takes storage_mu_
-      // (spine -> storage is the global lock order).
-      stats_tracker_->set_flush_hook(
-          [this](const std::vector<std::pair<int64_t, uint64_t>>& batch) {
-            // Storage WRITE: exclusive against shared-mode readers.
-            std::lock_guard<std::shared_mutex> lock(storage_mu_);
-            for (const auto& [key, n] : batch) {
-              Status s = inner_->count_cache()->Add(
-                  key, static_cast<double>(n));
-              if (!s.ok() && deferred_count_cache_status_.ok()) {
-                deferred_count_cache_status_ = s;
-              }
+  ConcurrentCountTrackerOptions topts;
+  topts.num_shards = concurrent_options_.num_shards;
+  topts.epoch_batch = concurrent_options_.epoch_batch;
+  stats_tracker_ = std::make_unique<ConcurrentCountTracker>(
+      inner_->access_tracker(), topts);
+  if (inner_->count_cache() != nullptr) {
+    // Epoch merges double as the persistence batch: the same deltas
+    // that enter the rank index go to the write-behind count cache.
+    // Called under the exclusive stats spine; takes storage_mu_
+    // (spine -> storage is the global lock order).
+    stats_tracker_->set_flush_hook(
+        [this](const std::vector<std::pair<int64_t, uint64_t>>& batch) {
+          // Storage WRITE: exclusive against shared-mode readers.
+          std::lock_guard<std::shared_mutex> lock(storage_mu_);
+          for (const auto& [key, n] : batch) {
+            Status s = inner_->count_cache()->Add(
+                key, static_cast<double>(n));
+            if (!s.ok() && deferred_count_cache_status_.ok()) {
+              deferred_count_cache_status_ = s;
             }
-          });
-    }
-    row_stripes_.reserve(concurrent_options_.num_shards);
-    acct_stripes_.reserve(concurrent_options_.num_shards);
-    for (size_t i = 0; i < concurrent_options_.num_shards; ++i) {
-      row_stripes_.push_back(std::make_unique<RowStripe>());
-      acct_stripes_.push_back(std::make_unique<AcctStripe>());
-    }
+          }
+        });
+  }
+  row_stripes_.reserve(concurrent_options_.num_shards);
+  acct_stripes_.reserve(concurrent_options_.num_shards);
+  for (size_t i = 0; i < concurrent_options_.num_shards; ++i) {
+    row_stripes_.push_back(std::make_unique<RowStripe>());
+    acct_stripes_.push_back(std::make_unique<AcctStripe>());
   }
   if (inner_->table() != nullptr) {
     logical_rows_.store(inner_->table()->NumRows(),
@@ -457,7 +455,6 @@ void ConcurrentProtectedDatabase::InvalidateRowCaches() {
 }
 
 void ConcurrentProtectedDatabase::EraseCachedRow(int64_t key) {
-  if (row_stripes_.empty()) return;
   RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   stripe.rows.erase(key);
@@ -465,7 +462,6 @@ void ConcurrentProtectedDatabase::EraseCachedRow(int64_t key) {
 
 void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
                                                   const Row& row) {
-  if (row_stripes_.empty()) return;
   RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.rows.find(key);
@@ -623,7 +619,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
     // (serialized out by writer_mu_), and every commit erases the
     // key's entry at install. A cache-resident key therefore skips
     // the base read entirely -- the hot-write fast path.
-    if (!row_stripes_.empty()) {
+    {
       RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
       std::lock_guard<std::mutex> cache_lock(stripe.mu);
       auto it = stripe.rows.find(key);
@@ -857,7 +853,7 @@ Status ConcurrentProtectedDatabase::DrainVersions() {
 }
 
 void ConcurrentProtectedDatabase::QuiesceStats() {
-  if (stats_tracker_ != nullptr) stats_tracker_->FlushAll();
+  stats_tracker_->FlushAll();
 }
 
 ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
@@ -873,49 +869,9 @@ ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
   return inner_.get();
 }
 
-// --- Global-lock mode (the seed baseline). -------------------------------
+// --- Compute phase: admit and charge, no stall served. ------------------
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlGlobal(
-    const std::string& sql, obs::RequestTrace* tr,
-    const RequestPrincipal* who) {
-  InFlightMark mark(&in_flight_);
-  PhaseMarker pm(tr, inner_->clock());
-  // Pre-access factor (same no-retroactive-penalty rule as the gate).
-  const double factor = ReputationFactor(who);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->ExecuteSql(sql, factor);
-  if (r.ok() && who != nullptr) {
-    const uint64_t n = inner_->access_tracker()->universe_size();
-    for (int64_t key : r->result.touched_keys) {
-      ReputationObserve(who, key, n);
-    }
-    CountEscalation(*r, factor);
-  }
-  // The global path computes everything under one lock; the whole
-  // computation is the admission phase.
-  pm.Mark(obs::TracePhase::kAdmit);
-  return r;
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeyGlobal(
-    int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
-  InFlightMark mark(&in_flight_);
-  PhaseMarker pm(tr, inner_->clock());
-  const double factor = ReputationFactor(who);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->GetByKey(key, factor);
-  if (r.ok() && who != nullptr) {
-    ReputationObserve(who, key,
-                      inner_->access_tracker()->universe_size());
-    CountEscalation(*r, factor);
-  }
-  pm.Mark(obs::TracePhase::kAdmit);
-  return r;
-}
-
-// --- Sharded mode. -------------------------------------------------------
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
+Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
     int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
   ProtectedResult out;
   // Pre-access factor, read before this request's access is observed
@@ -1066,7 +1022,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
   return out;
 }
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
+Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     const std::string& sql, obs::RequestTrace* tr,
     const RequestPrincipal* who) {
   PhaseMarker pm(tr, inner_->clock());
@@ -1119,16 +1075,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     }
     result = prep != nullptr ? inner_->ExecutePrepared(*prep)
                              : inner_->ExecuteStatement(*stmt);
-    // The serial executor Recorded into the plain inner trackers;
-    // fold their deferred rank-index work while ddl X still excludes
-    // every shared reader (readers flush lazily and must never find
-    // pending work concurrently).
-    if (inner_->access_tracker() != nullptr) {
-      inner_->access_tracker()->SyncRankIndex();
-    }
-    if (inner_->update_tracker() != nullptr) {
-      inner_->update_tracker()->SyncRankIndex();
-    }
     InvalidateRowCaches();
     if (inner_->table() != nullptr) {
       // The store is drained, so NumRows() is exact again.
@@ -1139,7 +1085,9 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     InFlightMark mark(&in_flight_);
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
     // The SQL read path still serializes on the stats spine: the inner
-    // access tracker and delay engine are single-threaded. Storage is
+    // access tracker and delay engine are single-threaded, and
+    // WithExclusive merges every pending point-read access before the
+    // inner engine charges, as the serial engine would. Storage is
     // held SHARED -- the scan itself is safe alongside GetByKey misses;
     // the spine's exclusivity already excludes the count-cache flush
     // hook's storage writes. Spine -> storage is the global lock order.
@@ -1172,21 +1120,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
 }
 
 // --- Public dispatch: admit/compute, then serve or park the stall. -------
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
-    const std::string& sql, obs::RequestTrace* tr,
-    const RequestPrincipal* who) {
-  return concurrent_options_.mode == ConcurrencyMode::kGlobalLock
-             ? ExecuteSqlGlobal(sql, tr, who)
-             : ExecuteSqlSharded(sql, tr, who);
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
-    int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
-  return concurrent_options_.mode == ConcurrencyMode::kGlobalLock
-             ? GetByKeyGlobal(key, tr, who)
-             : GetByKeySharded(key, tr, who);
-}
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSql(
     const std::string& sql) {
@@ -1258,10 +1191,6 @@ void ConcurrentProtectedDatabase::ExecuteSqlAsync(
 }
 
 Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->BulkLoadRow(row);
-  }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
   {
     // Bulk loads write base storage directly; fence them behind a
@@ -1274,7 +1203,7 @@ Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
     logical_rows_.store(inner_->table()->NumRows(),
                         std::memory_order_relaxed);
   }
-  if (s.ok() && !row_stripes_.empty() && inner_->table() != nullptr) {
+  if (s.ok() && inner_->table() != nullptr) {
     // Defensive: drop any cached row under the same key (e.g. a reload
     // after out-of-band changes through unsafe_inner()).
     const size_t pk = inner_->table()->pk_column();
@@ -1289,10 +1218,6 @@ Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
 }
 
 Status ConcurrentProtectedDatabase::Checkpoint() {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->Checkpoint();
-  }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
   {
     // Fold every pending version into base BEFORE the inner checkpoint
@@ -1311,8 +1236,8 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
       return deferred_count_cache_status_;
     }
   }
-  // The sharded path charges point gets through the accounting
-  // stripes, bypassing the inner DelayEngine; report their totals so
+  // Point gets are charged through the accounting stripes, bypassing
+  // the inner DelayEngine; report their totals so
   // the checkpoint's synced snapshot (and every later cadence one)
   // carries what callers were actually charged.
   double sharded_delay = 0.0;
@@ -1327,20 +1252,16 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
 }
 
 ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->Metrics();
-  }
   std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
   ProtectedDatabaseMetrics m;
+  // WithExclusive merges the stats stripes first, so the inner count
+  // holds every completed request.
   stats_tracker_->WithExclusive([&](CountTracker*) {
     std::shared_lock<std::shared_mutex> us(update_stats_mu_);
     std::lock_guard<std::shared_mutex> lock(storage_mu_);
     m = inner_->Metrics();
   });
-  // Requests parked in stats stripes are real, just not merged yet.
-  m.total_requests += stats_tracker_->pending_records();
-  // Fold in the sharded path's delay accounting (it bypasses the inner
+  // Fold in the point gets' delay accounting (it bypasses the inner
   // DelayEngine by design).
   BoundedQuantileSketch merged;
   double sharded_delay = 0.0;
@@ -1354,8 +1275,8 @@ ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
   m.total_delay_seconds += sharded_delay;
   m.delays_charged += sharded_charges;
   if (merged.count() > 0) {
-    // Quantiles from the dominant path's sketch (the sharded path once
-    // it has any traffic; point retrievals are the hot path).
+    // Quantiles from the dominant path's sketch (the point gets' once
+    // they have any traffic; point retrievals are the hot path).
     m.median_delay_seconds = merged.Median();
     m.p99_delay_seconds = merged.Quantile(0.99);
   }

@@ -27,20 +27,6 @@
 
 namespace tarpit {
 
-/// How the concurrent front door schedules query computation.
-enum class ConcurrencyMode {
-  /// The seed behavior: every query computes under ONE global mutex
-  /// (stalls are still served outside it). Kept as the baseline the
-  /// scaling bench compares against.
-  kGlobalLock,
-  /// Lock-striped point-retrieval path: GetByKey runs under a shared
-  /// "DDL" lock plus per-stripe locks, with stats through the
-  /// concurrency-safe ConcurrentCountTracker and delays computed from
-  /// read-mostly snapshots. Mutating SQL takes the DDL lock
-  /// exclusively.
-  kSharded,
-};
-
 /// Caller-attributed principal for a request entering the concurrent
 /// front door. The door does no registration or rate limiting (that is
 /// the QueryGate's job); given a principal it escalates the charged
@@ -53,14 +39,15 @@ struct RequestPrincipal {
   uint32_t subnet24 = 0;
 };
 
-/// Tuning knobs for the sharded path.
+/// Tuning knobs for the concurrent front door.
 struct ConcurrentDatabaseOptions {
-  ConcurrencyMode mode = ConcurrencyMode::kSharded;
   /// Lock stripes for the GetByKey row cache (keyed by tuple key) and
   /// for the concurrent stats spine.
   size_t num_shards = 16;
-  /// Requests a stats stripe batches before merging into the rank
-  /// index (the epoch; bounds rank/f_max staleness).
+  /// Requests a stats stripe batches before it merges into the inner
+  /// tracker. Charges never read stale stats: a rank-bearing read and
+  /// every SELECT merge all pending accesses first. So this only sets
+  /// how long a rank-free door (beta == 0) defers its merges.
   size_t epoch_batch = 64;
   /// When false, delays are computed and accounted but not slept --
   /// for benches/simulations that measure rather than stall.
@@ -148,7 +135,9 @@ struct ConcurrentDatabaseOptions {
 ///    base-storage scan cannot see unreclaimed versions, so the
 ///    version store is drained first and held empty across the scan)
 ///    and still serialize on the stats spine (the inner tracker and
-///    delay engine are single-threaded). Statement texts resolve
+///    delay engine are single-threaded), which merges every pending
+///    point-read access first, so a SELECT is charged from every
+///    access that completed before it. Statement texts resolve
 ///    through the inner plan cache, so the classification parse is the
 ///    only parse and repeats skip compilation entirely.
 ///  * Storage WRITERS inside the shared-lock region (the stats flush
@@ -185,8 +174,7 @@ class ConcurrentProtectedDatabase {
   /// is on); the blocking entry points wait on the async completion.
   Result<ProtectedResult> ExecuteSql(const std::string& sql);
 
-  /// Single-tuple retrieval on the striped path (kSharded) or under
-  /// the global mutex (kGlobalLock).
+  /// Single-tuple retrieval on the striped point-read path.
   Result<ProtectedResult> GetByKey(int64_t key);
 
   /// Principal-attributed variants: the charged delay is escalated by
@@ -246,9 +234,9 @@ class ConcurrentProtectedDatabase {
   /// inspecting the inner database from a quiesced state.
   void QuiesceStats();
 
-  /// Point-in-time metrics across both execution paths. Sharded
-  /// GetByKey accounting (which bypasses the inner DelayEngine) is
-  /// folded in; quantiles come from the dominant path's sketch.
+  /// Point-in-time metrics across both execution paths. Point-get
+  /// accounting (which bypasses the inner DelayEngine) is folded in;
+  /// quantiles come from the dominant path's sketch.
   ProtectedDatabaseMetrics Metrics();
 
   /// Access to the wrapped instance for setup/inspection. NOT
@@ -267,7 +255,7 @@ class ConcurrentProtectedDatabase {
   /// hits and misses, write batches, DDL fences, MVCC versions and
   /// pins) are series in `metrics`.
   uint64_t stats_epoch_flushes() const {
-    return stats_tracker_ ? stats_tracker_->epoch_flushes() : 0;
+    return stats_tracker_->epoch_flushes();
   }
   const ConcurrentDatabaseOptions& concurrent_options() const {
     return concurrent_options_;
@@ -331,18 +319,6 @@ class ConcurrentProtectedDatabase {
                                           obs::RequestTrace* tr,
                                           const RequestPrincipal* who);
   Result<ProtectedResult> ComputeExecuteSql(const std::string& sql,
-                                            obs::RequestTrace* tr,
-                                            const RequestPrincipal* who);
-  Result<ProtectedResult> GetByKeyGlobal(int64_t key,
-                                         obs::RequestTrace* tr,
-                                         const RequestPrincipal* who);
-  Result<ProtectedResult> GetByKeySharded(int64_t key,
-                                          obs::RequestTrace* tr,
-                                          const RequestPrincipal* who);
-  Result<ProtectedResult> ExecuteSqlGlobal(const std::string& sql,
-                                           obs::RequestTrace* tr,
-                                           const RequestPrincipal* who);
-  Result<ProtectedResult> ExecuteSqlSharded(const std::string& sql,
                                             obs::RequestTrace* tr,
                                             const RequestPrincipal* who);
   /// Pre-access penalty factor for `who` (1.0 when reputation is off
@@ -417,10 +393,7 @@ class ConcurrentProtectedDatabase {
   std::unique_ptr<ProtectedDatabase> inner_;
   ConcurrentDatabaseOptions concurrent_options_;
 
-  // kGlobalLock state.
-  std::mutex mutex_;
-
-  // kSharded state. storage_mu_ is reader-writer: read-only storage
+  // storage_mu_ is reader-writer: read-only storage
   // access (GetByKey misses, SELECT scans) holds it shared -- the
   // sharded buffer pool makes that safe -- while in-region storage
   // writers (count-cache flush hook) hold it exclusive. Mutating SQL
@@ -446,9 +419,10 @@ class ConcurrentProtectedDatabase {
   std::shared_mutex update_stats_mu_;
   bool reads_need_update_stats_ = false;
   /// True iff the configured policy's delay actually consumes
-  /// popularity rank (rank^beta with beta != 0): when false, the
-  /// sharded read path asks the stats spine for a rank-free snapshot
-  /// and the treap never appears on the read path.
+  /// popularity rank (rank^beta with beta != 0): then each point read
+  /// takes the stats spine exclusively to rank after merging; when
+  /// false, it asks the spine for a rank-free snapshot under the
+  /// shared lock and the treap never appears on the read path.
   bool reads_need_rank_ = true;
   alignas(64) EpochManager epoch_mgr_;
   VersionStore version_store_;

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <unordered_map>
+#include <vector>
 
 namespace tarpit {
 namespace obs {
@@ -59,72 +61,78 @@ void AppendJsonLabels(std::string* out, const Labels& labels) {
   out->push_back('}');
 }
 
+void AppendFamilyHeader(std::string* out, const MetricSnapshot& m) {
+  static const char* kTypeNames[] = {"counter", "gauge", "histogram"};
+  out->append("# TYPE ").append(m.name).append(" ");
+  out->append(kTypeNames[static_cast<int>(m.kind)]).push_back('\n');
+  if (m.kind == MetricKind::kHistogram && !m.histogram.unit.empty()) {
+    out->append("# UNIT ").append(m.name).append(" ");
+    out->append(m.histogram.unit).push_back('\n');
+  }
+}
+
+void AppendSeries(std::string* out, const MetricSnapshot& m) {
+  if (m.kind != MetricKind::kHistogram) {
+    out->append(m.name);
+    AppendLabelSet(out, m.labels);
+    out->push_back(' ');
+    out->append(std::to_string(m.value));
+    out->push_back('\n');
+    return;
+  }
+  const HistogramSnapshot& h = m.histogram;
+  // Cumulative buckets at power-of-two upper bounds: indices whose
+  // sub-bucket is 0 start a new octave, so summing up to (but
+  // excluding) them yields `le = 2^k` exactly.
+  const uint64_t sub_count = uint64_t{1} << h.sub_bits;
+  uint64_t cum = 0;
+  for (size_t i = 0; i < h.buckets.size(); ++i) {
+    if (i >= sub_count && (i & (sub_count - 1)) == 0 && cum > 0) {
+      out->append(m.name).append("_bucket");
+      AppendLabelSetWithLe(
+          out, m.labels,
+          std::to_string(Histogram::BucketLowerBound(h.sub_bits, i)));
+      out->push_back(' ');
+      out->append(std::to_string(cum));
+      out->push_back('\n');
+    }
+    cum += h.buckets[i];
+  }
+  out->append(m.name).append("_bucket");
+  AppendLabelSetWithLe(out, m.labels, "+Inf");
+  out->push_back(' ');
+  out->append(std::to_string(cum));
+  out->push_back('\n');
+  out->append(m.name).append("_sum");
+  AppendLabelSet(out, m.labels);
+  out->push_back(' ');
+  out->append(std::to_string(h.sum));
+  out->push_back('\n');
+  out->append(m.name).append("_count");
+  AppendLabelSet(out, m.labels);
+  out->push_back(' ');
+  out->append(std::to_string(h.count));
+  out->push_back('\n');
+}
+
 }  // namespace
 
 std::string ToPrometheusText(const RegistrySnapshot& snapshot) {
+  // One family per metric name, in first-registration order: its
+  // metadata once, then all of its series together, however the
+  // registry interleaved their registrations.
+  std::vector<std::vector<const MetricSnapshot*>> families;
+  std::unordered_map<std::string, size_t> family_of;
+  for (const MetricSnapshot& m : snapshot.metrics) {
+    auto [it, added] = family_of.try_emplace(m.name, families.size());
+    if (added) families.emplace_back();
+    families[it->second].push_back(&m);
+  }
   std::string out;
   out.reserve(snapshot.metrics.size() * 64);
-  for (const MetricSnapshot& m : snapshot.metrics) {
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        out.append("# TYPE ").append(m.name).append(" counter\n");
-        out.append(m.name);
-        AppendLabelSet(&out, m.labels);
-        out.push_back(' ');
-        out.append(std::to_string(m.value));
-        out.push_back('\n');
-        break;
-      case MetricKind::kGauge:
-        out.append("# TYPE ").append(m.name).append(" gauge\n");
-        out.append(m.name);
-        AppendLabelSet(&out, m.labels);
-        out.push_back(' ');
-        out.append(std::to_string(m.value));
-        out.push_back('\n');
-        break;
-      case MetricKind::kHistogram: {
-        const HistogramSnapshot& h = m.histogram;
-        out.append("# TYPE ").append(m.name).append(" histogram\n");
-        if (!h.unit.empty()) {
-          out.append("# UNIT ").append(m.name).append(" ").append(h.unit);
-          out.push_back('\n');
-        }
-        // Cumulative buckets at power-of-two upper bounds: indices
-        // whose sub-bucket is 0 start a new octave, so summing up to
-        // (but excluding) them yields `le = 2^k` exactly.
-        const uint64_t sub_count = uint64_t{1} << h.sub_bits;
-        uint64_t cum = 0;
-        for (size_t i = 0; i < h.buckets.size(); ++i) {
-          if (i >= sub_count && (i & (sub_count - 1)) == 0 && cum > 0) {
-            out.append(m.name).append("_bucket");
-            AppendLabelSetWithLe(
-                &out, m.labels,
-                std::to_string(
-                    Histogram::BucketLowerBound(h.sub_bits, i)));
-            out.push_back(' ');
-            out.append(std::to_string(cum));
-            out.push_back('\n');
-          }
-          cum += h.buckets[i];
-        }
-        out.append(m.name).append("_bucket");
-        AppendLabelSetWithLe(&out, m.labels, "+Inf");
-        out.push_back(' ');
-        out.append(std::to_string(cum));
-        out.push_back('\n');
-        out.append(m.name).append("_sum");
-        AppendLabelSet(&out, m.labels);
-        out.push_back(' ');
-        out.append(std::to_string(h.sum));
-        out.push_back('\n');
-        out.append(m.name).append("_count");
-        AppendLabelSet(&out, m.labels);
-        out.push_back(' ');
-        out.append(std::to_string(h.count));
-        out.push_back('\n');
-        break;
-      }
-    }
+  for (const auto& family : families) {
+    AppendFamilyHeader(&out, *family.front());
+    for (const MetricSnapshot* m : family) AppendSeries(&out, *m);
   }
   return out;
 }

@@ -55,24 +55,28 @@ PopularityStats ConcurrentCountTracker::RecordAndStats(int64_t key,
       total_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
   const size_t i = StripeFor(key);
   Stripe& s = *stripes_[i];
+  if (need_rank) {
+    // Learn, then charge, in the serial tracker's order: this access
+    // and every completed one are merged before the rank is read.
+    std::unique_lock<std::shared_mutex> spine(spine_mu_);
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      ++s.pending[key];
+      ++s.pending_total;
+    }
+    MergeAllLocked();
+    PopularityStats stats = inner_->Stats(key);
+    stats.total_requests = total;
+    return stats;
+  }
   bool need_flush = false;
   PopularityStats stats;
   uint64_t pend = 0;
   {
     // Spine shared first, then the stripe: same spine->stripe order as
-    // the merge and Stats(), so the consistency argument is unchanged
-    // (while the spine is held shared, this key's delta is in exactly
-    // one of {stripe, inner}). On a rank-free spine a rank-bearing
-    // read must fold deferred index work, so it goes exclusive (cold:
-    // doors whose policy reads ranks configure rank_reads = true).
-    std::shared_lock<std::shared_mutex> shared(spine_mu_, std::defer_lock);
-    std::unique_lock<std::shared_mutex> exclusive(spine_mu_,
-                                                  std::defer_lock);
-    if (need_rank && !options_.rank_reads) {
-      exclusive.lock();
-    } else {
-      shared.lock();
-    }
+    // the merge, so while the spine is held shared this key's delta is
+    // in exactly one of {stripe, inner}.
+    std::shared_lock<std::shared_mutex> spine(spine_mu_);
     {
       std::lock_guard<std::mutex> lock(s.mu);
       uint64_t& p = s.pending[key];
@@ -81,11 +85,7 @@ PopularityStats ConcurrentCountTracker::RecordAndStats(int64_t key,
       ++s.pending_total;
       need_flush = s.pending_total >= options_.epoch_batch;
     }
-    // need_rank == true under the SHARED spine (rank_reads spines) is
-    // still safe: every exclusive mutation leaves the inner tracker
-    // with no pending index work, so the flush inside Stats() is a
-    // no-op there and never mutates under a shared lock.
-    stats = inner_->Stats(key, need_rank);
+    stats = inner_->Stats(key, /*need_rank=*/false);
   }
   if (need_flush) FlushStripe(i);
   stats.total_requests = total;
@@ -96,68 +96,50 @@ PopularityStats ConcurrentCountTracker::RecordAndStats(int64_t key,
   return stats;
 }
 
-void ConcurrentCountTracker::FlushStripe(size_t i) {
+void ConcurrentCountTracker::DrainStripeLocked(size_t i, Batch* batch) {
   Stripe& s = *stripes_[i];
-  std::unique_lock<std::shared_mutex> spine(spine_mu_);
-  std::vector<std::pair<int64_t, uint64_t>> batch;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.pending_total == 0) return;  // Raced with another flusher.
-    batch.assign(s.pending.begin(), s.pending.end());
-    s.pending.clear();
-    s.pending_total = 0;
-  }
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (s.pending_total == 0) return;
+  batch->insert(batch->end(), s.pending.begin(), s.pending.end());
+  s.pending.clear();
+  s.pending_total = 0;
+}
+
+void ConcurrentCountTracker::ApplyLocked(Batch* batch) {
+  if (batch->empty()) return;  // Another flusher drained it first.
   // Deterministic replay order within the batch (merge *scheduling*
   // across stripes stays nondeterministic, which is the documented
-  // epoch-level nondeterminism).
-  std::sort(batch.begin(), batch.end());
-  for (const auto& [key, n] : batch) inner_->RecordMany(key, n);
-  // Fold the deferred rank repositions while the spine is still held
-  // exclusively: shared-mode readers (Stats/RecordAndStats) must never
-  // observe -- or race on -- pending index work. Rank-free spines skip
-  // the fold; their rank-bearing readers go exclusive instead.
-  if (options_.rank_reads) inner_->SyncRankIndex();
-  if (flush_hook_) flush_hook_(batch);
+  // epoch-level nondeterminism). A key lives in one stripe, so the
+  // batch holds each key once.
+  std::sort(batch->begin(), batch->end());
+  for (const auto& [key, n] : *batch) inner_->RecordMany(key, n);
+  if (flush_hook_) flush_hook_(*batch);
   epoch_flushes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ConcurrentCountTracker::FlushAll() {
-  for (size_t i = 0; i < stripes_.size(); ++i) FlushStripe(i);
+void ConcurrentCountTracker::MergeAllLocked() {
+  Batch batch;
+  for (size_t i = 0; i < stripes_.size(); ++i) DrainStripeLocked(i, &batch);
+  ApplyLocked(&batch);
 }
 
-PopularityStats ConcurrentCountTracker::Stats(int64_t key) const {
-  const Stripe& s = *stripes_[StripeFor(key)];
-  // Shared spine first: merges (which move pending deltas into the
-  // inner tracker) need the spine exclusively, so while we hold it in
-  // shared mode a delta is in exactly one of {stripe, inner}. A
-  // rank-free spine defers index repositions past the merge, so this
-  // rank-bearing snapshot must fold them -- which mutates the index
-  // and therefore needs the spine exclusively.
-  std::shared_lock<std::shared_mutex> shared(spine_mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(spine_mu_,
-                                                std::defer_lock);
-  if (options_.rank_reads) {
-    shared.lock();
-  } else {
-    exclusive.lock();
-  }
+void ConcurrentCountTracker::FlushStripe(size_t i) {
+  std::unique_lock<std::shared_mutex> spine(spine_mu_);
+  Batch batch;
+  DrainStripeLocked(i, &batch);
+  ApplyLocked(&batch);
+}
+
+void ConcurrentCountTracker::FlushAll() {
+  std::unique_lock<std::shared_mutex> spine(spine_mu_);
+  MergeAllLocked();
+}
+
+PopularityStats ConcurrentCountTracker::Stats(int64_t key) {
+  std::unique_lock<std::shared_mutex> spine(spine_mu_);
+  MergeAllLocked();
   PopularityStats stats = inner_->Stats(key);
-  uint64_t pend = 0;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.pending.find(key);
-    if (it != s.pending.end()) pend = it->second;
-  }
   stats.total_requests = total_requests_.load(std::memory_order_relaxed);
-  if (pend > 0) {
-    // Pending requests are folded in at unit weight. With decay this
-    // understates their inflation by at most delta^epoch -- the bounded
-    // staleness the class comment documents.
-    stats.count += static_cast<double>(pend);
-    stats.total_count += static_cast<double>(pend);
-    stats.max_count = std::max(stats.max_count, stats.count);
-    if (stats.distinct_seen == 0) stats.distinct_seen = 1;
-  }
   return stats;
 }
 
@@ -169,19 +151,6 @@ double ConcurrentCountTracker::Count(int64_t key) const {
   auto it = s.pending.find(key);
   if (it != s.pending.end()) c += static_cast<double>(it->second);
   return c;
-}
-
-void ConcurrentCountTracker::Seed(int64_t key, double count) {
-  std::unique_lock<std::shared_mutex> spine(spine_mu_);
-  inner_->Seed(key, count);
-  inner_->SyncRankIndex();  // Shared readers must see no pending work.
-}
-
-void ConcurrentCountTracker::ApplyDecayFactor(double factor) {
-  FlushAll();
-  std::unique_lock<std::shared_mutex> spine(spine_mu_);
-  inner_->ApplyDecayFactor(factor);
-  inner_->SyncRankIndex();  // Shared readers must see no pending work.
 }
 
 void ConcurrentCountTracker::set_universe_size(uint64_t n) {
@@ -211,13 +180,7 @@ uint64_t ConcurrentCountTracker::pending_records() const {
 void ConcurrentCountTracker::WithExclusive(
     const std::function<void(CountTracker*)>& fn) {
   std::unique_lock<std::shared_mutex> spine(spine_mu_);
-  fn(inner_);
-  inner_->SyncRankIndex();  // Shared readers must see no pending work.
-}
-
-void ConcurrentCountTracker::WithShared(
-    const std::function<void(const CountTracker*)>& fn) const {
-  std::shared_lock<std::shared_mutex> spine(spine_mu_);
+  MergeAllLocked();
   fn(inner_);
 }
 

@@ -21,18 +21,12 @@ struct ConcurrentCountTrackerOptions {
   /// the same stripe, so a key's exact count is (inner + its stripe's
   /// pending delta) at all times.
   size_t num_shards = 16;
-  /// A stripe is merged into the rank index once it has accumulated
-  /// this many pending requests. This is the epoch: between merges the
-  /// rank index (and therefore rank / f_max / distinct_seen) is stale
-  /// by at most `num_shards * epoch_batch` requests.
+  /// A stripe is merged into the wrapped tracker once it has
+  /// accumulated this many pending requests (the epoch). Counts never
+  /// go stale: a read folds its own key's pending delta in, and every
+  /// exclusive hold of the spine merges all stripes first. So this
+  /// only sets how many requests the rank-free path batches per merge.
   size_t epoch_batch = 64;
-  /// True when the owning door issues rank-bearing per-request reads
-  /// (its delay formula consumes rank^beta). When false, epoch merges
-  /// leave the inner tracker's rank repositions deferred -- the treap
-  /// disappears from the merge path too -- and the rare rank-bearing
-  /// Stats() call takes the spine exclusively so the deferred work can
-  /// be folded without racing shared readers.
-  bool rank_reads = true;
 };
 
 /// Thread-safe wrapper around a single-threaded CountTracker.
@@ -49,14 +43,18 @@ struct ConcurrentCountTrackerOptions {
 ///    multiset (merge order is the only nondeterminism; with decay
 ///    delta == 1.0 the result is order-independent and therefore
 ///    *equal* to any serial replay).
-///  * Stats(key) takes the spine in shared mode and adds the key's own
-///    stripe delta, so a thread always sees its own completed Record()
-///    calls reflected in `count` (reads are a consistent snapshot:
-///    merges need the spine exclusively, so a delta can never be
-///    double-counted or lost mid-read). `rank`, `max_count` and
-///    `distinct_seen` come from the last merge -- stale by at most one
-///    epoch window, which is the bounded staleness the delay engine's
-///    Eq. 1 inputs inherit.
+///  * The rule: whoever holds the spine exclusively first merges every
+///    stripe's pending accesses, under that same hold. So a rank
+///    (Stats, a rank-bearing RecordAndStats) or any work inside
+///    WithExclusive sees every access that completed before it, as the
+///    serial tracker would.
+///  * Rank-free reads (RecordAndStats(key, false), Count) take the
+///    spine shared and add the key's own stripe delta, so `count` is
+///    exact for every completed access of that key (merges need the
+///    spine exclusively, so a delta can never be double-counted or
+///    lost mid-read). They never read the rank index, so an epoch
+///    merge leaves the index's repositions deferred for the next
+///    exclusive rank read to fold.
 ///
 /// Lock order (outermost first): stripe mutex OR spine; when both are
 /// held the order is spine -> stripe (merge and consistent reads).
@@ -77,27 +75,25 @@ class ConcurrentCountTracker {
   /// Records one request for `key`. Thread-safe; lock-striped.
   void Record(int64_t key);
 
-  /// Record(key) + Stats(key) fused into a single spine/stripe
-  /// acquisition -- the protected front door's per-request hot path
-  /// (learn, then charge from the post-record snapshot). Equivalent to
-  /// calling Record(key) then Stats(key) with no interleaved writer.
-  /// `need_rank == false` skips the rank index entirely (rank and
-  /// max_count come back 0 for seen keys) -- safe under the shared
-  /// spine because it neither reads nor flushes deferred index work;
-  /// doors whose delay policy ignores rank pass false.
+  /// Record(key) + Stats(key) fused -- the protected front door's
+  /// per-request hot path (learn, then charge from the post-record
+  /// snapshot). `need_rank == true` takes the spine exclusively: it
+  /// merges every stripe with this access, then reads the serial
+  /// tracker's Stats(key). `need_rank == false` stays on the shared
+  /// spine and the key's stripe and skips the rank index entirely
+  /// (rank and max_count come back 0 for seen keys); doors whose delay
+  /// policy ignores rank pass false.
   PopularityStats RecordAndStats(int64_t key, bool need_rank = true);
 
-  /// Popularity snapshot for `key`: `count` and `total_requests` are
-  /// exact w.r.t. this thread's completed records; `rank`, `max_count`,
-  /// `distinct_seen` are epoch-stale (see class comment).
-  PopularityStats Stats(int64_t key) const;
+  /// Popularity snapshot for `key` after merging every stripe (takes
+  /// the spine exclusively): equal to the serial tracker's Stats(key)
+  /// over every completed Record().
+  PopularityStats Stats(int64_t key);
 
   /// Exact-for-own-thread decayed count (inner + pending delta).
   double Count(int64_t key) const;
 
-  /// Thread-safe passthroughs (exclusive on the spine).
-  void Seed(int64_t key, double count);
-  void ApplyDecayFactor(double factor);
+  /// Thread-safe passthroughs (exclusive / shared on the spine).
   void set_universe_size(uint64_t n);
   uint64_t universe_size() const;
 
@@ -109,7 +105,7 @@ class ConcurrentCountTracker {
   /// Distinct keys in the *merged* view (epoch-stale until FlushAll).
   uint64_t distinct_seen() const;
 
-  /// Requests recorded but not yet merged into the rank index.
+  /// Requests recorded but not yet merged into the wrapped tracker.
   uint64_t pending_records() const;
 
   /// Number of epoch merges performed (observability/tests).
@@ -129,13 +125,11 @@ class ConcurrentCountTracker {
       std::function<void(const std::vector<std::pair<int64_t, uint64_t>>&)>;
   void set_flush_hook(FlushHook hook) { flush_hook_ = std::move(hook); }
 
-  /// Runs `fn(inner)` while holding the spine exclusively. Escape hatch
-  /// for callers that must touch the wrapped tracker (or state the
-  /// wrapped tracker feeds) while readers may be in flight.
+  /// Merges every stripe, then runs `fn(inner)` under the same
+  /// exclusive hold of the spine. Escape hatch for callers that must
+  /// touch the wrapped tracker (or state the wrapped tracker feeds)
+  /// while readers may be in flight; `fn` sees every completed access.
   void WithExclusive(const std::function<void(CountTracker*)>& fn);
-
-  /// Runs `fn(inner)` while holding the spine in shared mode.
-  void WithShared(const std::function<void(const CountTracker*)>& fn) const;
 
  private:
   struct Stripe {
@@ -144,9 +138,19 @@ class ConcurrentCountTracker {
     uint64_t pending_total = 0;
   };
 
+  using Batch = std::vector<std::pair<int64_t, uint64_t>>;
+
   size_t StripeFor(int64_t key) const;
   /// Merges stripe `i` into the inner tracker (no-op when empty).
   void FlushStripe(size_t i);
+  /// Moves stripe `i`'s pending deltas into `batch`. Requires the
+  /// spine held exclusively.
+  void DrainStripeLocked(size_t i, Batch* batch);
+  /// Replays `batch` into the inner tracker and the flush hook (no-op
+  /// when empty). Requires the spine held exclusively.
+  void ApplyLocked(Batch* batch);
+  /// Merges every stripe. Requires the spine held exclusively.
+  void MergeAllLocked();
 
   CountTracker* inner_;
   ConcurrentCountTrackerOptions options_;

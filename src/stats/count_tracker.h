@@ -73,16 +73,6 @@ class CountTracker {
   /// this to keep the treap entirely off their read path.
   PopularityStats Stats(int64_t key, bool need_rank = true) const;
 
-  /// Folds deferred rank-index repositions in. Record() queues the
-  /// reposition instead of paying the O(log n) treap surgery eagerly;
-  /// rank-reading accessors (Stats) flush automatically, so write-only
-  /// phases -- e.g. the update tracker under an access-popularity
-  /// policy, whose ranks nothing ever reads -- skip the index work
-  /// entirely. Wrappers that serve Stats() under a shared lock must
-  /// call this at the end of every exclusive mutation so shared
-  /// readers never observe (and never race on) pending work.
-  void SyncRankIndex() const;
-
   /// Normalized decayed count for `key` (0 if never seen).
   double Count(int64_t key) const;
 
@@ -97,6 +87,15 @@ class CountTracker {
   uint64_t renormalizations() const { return renormalizations_; }
 
  private:
+  /// Folds deferred rank-index repositions in. Record() queues the
+  /// reposition instead of paying the O(log n) treap surgery eagerly;
+  /// rank-reading accessors (Stats) flush automatically, so write-only
+  /// phases -- e.g. the update tracker under an access-popularity
+  /// policy, whose ranks nothing ever reads -- skip the index work
+  /// entirely. A rank read mutates the index, so a wrapper shared
+  /// across threads reads rank only under its exclusive lock.
+  void SyncRankIndex() const;
+
   void RenormalizeIfNeeded();
   void DeferRankUpdate(int64_t key, double old_raw, bool was_tracked);
 

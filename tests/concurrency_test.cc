@@ -102,7 +102,6 @@ TEST_F(ConcurrencyTest, DisjointPartitionsMatchSerialOracle) {
   opts.popularity.bounds = {0.0, 10.0};
   opts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.num_shards = 8;
   copts.epoch_batch = 16;
   copts.serve_delays = false;  // Measure, don't stall.
@@ -220,14 +219,14 @@ TEST_F(ConcurrencyTest, OverlappingHotKeysLoseNoUpdates) {
   }
 }
 
-// A rank-free spine (rank_reads = false) defers all treap repositions
-// past the epoch merge: rank-free reads return count-exact snapshots
-// with rank/max_count unset, and rank-bearing Stats() calls take the
-// spine exclusively to fold the deferred work. The threaded phase
-// races rank-free RecordAndStats against a rank-bearing reader -- the
-// TSan matrix for the lock-kind branch -- and the final state must
-// match a serial oracle exactly (decay 1.0 makes the replay
-// order-independent, including ranks).
+// The spine defers all treap repositions past the epoch merge:
+// rank-free reads return count-exact snapshots with rank/max_count
+// unset, and rank-bearing Stats() calls take the spine exclusively to
+// merge and fold the deferred work. The threaded phase races rank-free
+// RecordAndStats against a rank-bearing reader -- the TSan matrix for
+// the lock-kind branch -- and the final state must match a serial
+// oracle exactly (decay 1.0 makes the replay order-independent,
+// including ranks).
 TEST_F(ConcurrencyTest, RankFreeSpineDefersTreapWorkSafely) {
   constexpr int kThreads = 4;
   constexpr int kKeys = 64;
@@ -237,7 +236,6 @@ TEST_F(ConcurrencyTest, RankFreeSpineDefersTreapWorkSafely) {
   ConcurrentCountTrackerOptions topts;
   topts.num_shards = 8;
   topts.epoch_batch = 32;
-  topts.rank_reads = false;
   ConcurrentCountTracker tracker(&inner, topts);
 
   std::atomic<bool> stop{false};
@@ -281,8 +279,8 @@ TEST_F(ConcurrencyTest, RankFreeSpineDefersTreapWorkSafely) {
   }
   for (int k = 1; k <= kKeys; ++k) {
     EXPECT_DOUBLE_EQ(tracker.Count(k), oracle.Count(k)) << "key " << k;
-    // Rank-bearing read on the rank-free spine: deferred repositions
-    // fold here and must reproduce the serial treap's answer.
+    // Rank-bearing read: deferred repositions fold here and must
+    // reproduce the serial treap's answer.
     EXPECT_EQ(tracker.Stats(k).rank, oracle.Stats(k).rank) << "key " << k;
   }
 }
@@ -296,7 +294,6 @@ TEST_F(ConcurrencyTest, ShutdownWhileStallingDoesNotDeadlock) {
   opts.popularity.scale = 1e9;            // Everything hits the cap.
   opts.popularity.bounds = {0.0, 0.02};   // 20 ms stall per retrieval.
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = true;
   OpenDb(64, opts, copts);
 
@@ -339,7 +336,6 @@ TEST_F(ConcurrencyTest, UnsafeInnerGuardAndQuiesce) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.epoch_batch = 64;
   copts.serve_delays = false;
   OpenDb(128, opts, copts);
@@ -371,7 +367,6 @@ TEST_F(ConcurrencyTest, WritesInvalidateRowCache) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   copts.metrics = &metrics_;
   OpenDb(kRows, opts, copts);
@@ -432,7 +427,6 @@ TEST_F(ConcurrencyTest, SqlAndPointReadsShareOneSpine) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.epoch_batch = 8;
   copts.serve_delays = false;
   OpenDb(100, opts, copts);
@@ -460,29 +454,67 @@ TEST_F(ConcurrencyTest, SqlAndPointReadsShareOneSpine) {
             static_cast<uint64_t>(kThreads) * iters);
 }
 
-// The kGlobalLock baseline (the seed behavior) must keep working -- it
-// is the comparison arm of bench_concurrent_scaling.
-TEST_F(ConcurrencyTest, GlobalLockModeStillServes) {
+// At beta != 0 every point read ranks after merging all pending
+// accesses (the stats spine taken exclusively), and every SELECT
+// merges before it charges. Eight threads mix both: afterwards the
+// inner tracker must equal a serial replay of the same multiset
+// (counts and ranks, exact at decay 1.0), and the door's accounting
+// must equal the charges it returned.
+TEST_F(ConcurrencyTest, RankBearingDoorMatchesSerialReplay) {
+  constexpr int kThreads = 8;
+  constexpr int kRows = 64;
+  const int iters = StressIters(400);
   ProtectedDatabaseOptions opts;
-  opts.popularity.bounds = {0.0, 0.0};
+  opts.popularity.beta = 0.3;
+  opts.popularity.scale = 0.01;
+  opts.popularity.bounds = {0.0, 10.0};
+  opts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kGlobalLock;
-  OpenDb(32, opts, copts);
+  copts.num_shards = 8;
+  copts.epoch_batch = 16;
+  copts.serve_delays = false;
+  OpenDb(kRows, opts, copts);
 
+  std::vector<std::vector<int64_t>> served(kThreads);
+  std::vector<double> charged(kThreads, 0.0);
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 100; ++i) {
-        auto r = cdb_->GetByKey(1 + (t * 100 + i) % 32);
-        if (!r.ok()) ++errors;
+      Rng rng(977 * (t + 1));
+      for (int i = 0; i < iters; ++i) {
+        const int64_t key = 1 + static_cast<int64_t>(rng.Uniform(kRows));
+        auto r = rng.Uniform(4) == 0
+                     ? cdb_->ExecuteSql("SELECT * FROM items WHERE id = " +
+                                        std::to_string(key))
+                     : cdb_->GetByKey(key);
+        if (!r.ok() || r->result.rows.size() != 1) {
+          ++errors;
+          continue;
+        }
+        served[t].push_back(key);
+        charged[t] += r->delay_seconds;
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(cdb_->Metrics().total_requests, 400u);
-  EXPECT_EQ(cdb_->in_flight_queries(), 0);
+  ASSERT_EQ(errors.load(), 0);
+  cdb_->QuiesceStats();
+  double returned = 0.0;
+  for (double c : charged) returned += c;
+  EXPECT_NEAR(cdb_->Metrics().total_delay_seconds, returned,
+              1e-9 * returned);
+
+  CountTracker oracle(kRows, 1.0);
+  for (const auto& keys : served) {
+    for (int64_t key : keys) oracle.Record(key);
+  }
+  const CountTracker* inner = cdb_->unsafe_inner()->access_tracker();
+  EXPECT_EQ(inner->total_requests(), oracle.total_requests());
+  for (int64_t k = 1; k <= kRows; ++k) {
+    EXPECT_DOUBLE_EQ(inner->Count(k), oracle.Count(k)) << "key " << k;
+    EXPECT_EQ(inner->Stats(k).rank, oracle.Stats(k).rank) << "key " << k;
+  }
 }
 
 // --- Async stall scheduling (the ISSUE 2 timer-wheel path). -------------

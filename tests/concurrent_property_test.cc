@@ -5,18 +5,30 @@
 // all equal. With decay disabled (delta = 1.0) the learned state is a
 // pure function of the multiset, so equality is exact; a second
 // property checks the decay>1 invariants (exact total mass, exact
-// request counts) that hold for *any* order.
+// request counts) that hold for *any* order. A third property feeds
+// one seeded sequential stream of point gets and pk SELECTs to the
+// concurrent front door and to the serial engine: every per-request
+// charge must be equal.
+
+#include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "common/zipf.h"
+#include "core/concurrent_db.h"
+#include "core/protected_db.h"
 #include "stats/concurrent_count_tracker.h"
 #include "stats/count_tracker.h"
 
@@ -167,6 +179,96 @@ TEST(ConcurrentPropertyTest, DecayInvariantsHoldForAnyInterleaving) {
     const double want_mass = serial.Stats(1).total_count;
     ASSERT_NEAR(got_mass, want_mass, 1e-6 * want_mass) << "seed " << seed;
   }
+}
+
+struct DoorOp {
+  bool select = false;
+  int64_t key = 0;
+};
+
+/// Opens `items` (rows 1..rows) in `dir` through either door.
+template <typename Db>
+void LoadItems(Db* db, int rows) {
+  ASSERT_TRUE(
+      db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+          .ok());
+  for (int k = 1; k <= rows; ++k) {
+    ASSERT_TRUE(
+        db->BulkLoadRow({Value(static_cast<int64_t>(k)), Value(k * 0.5)})
+            .ok());
+  }
+}
+
+template <typename Db>
+Result<ProtectedResult> RunOp(Db* db, const DoorOp& op) {
+  return op.select ? db->ExecuteSql("SELECT * FROM items WHERE id = " +
+                                    std::to_string(op.key))
+                   : db->GetByKey(op.key);
+}
+
+// The concurrent door charges what the serial engine charges: Eq. 1 in
+// learned form (d = scale * rank^beta / count), ranked after the access
+// is counted, for point gets and SELECTs alike. Each seed's stream
+// starts with a fixed prefix that covers a pk SELECT after unmerged
+// gets of its key, a first get (ranked among seen keys, not at the
+// universe size) and a SELECT of a key not yet seen.
+TEST(ConcurrentPropertyTest, DoorChargesEqualSerialEngine) {
+  constexpr int kRows = 100;
+  const int seeds = StressIters(6);
+  const int tail_ops = StressIters(300);
+  std::vector<DoorOp> prefix(9, DoorOp{false, 1});
+  prefix.push_back({true, 1});
+  prefix.push_back({false, 2});
+  prefix.push_back({true, 3});
+  const std::filesystem::path base =
+      std::filesystem::temp_directory_path() /
+      ("tarpit_door_differential_" + std::to_string(::getpid()));
+  for (double beta : {0.0, 0.3}) {
+    for (int seed = 1; seed <= seeds; ++seed) {
+      std::filesystem::remove_all(base);
+      std::filesystem::create_directories(base / "door");
+      std::filesystem::create_directories(base / "serial");
+      ProtectedDatabaseOptions opts;
+      opts.popularity.beta = beta;
+      opts.popularity.scale = 1.0;
+      opts.popularity.bounds = {0.0, 1e9};
+      opts.decay_per_request = 1.0;
+      VirtualClock clock;
+      ConcurrentDatabaseOptions copts;
+      copts.serve_delays = false;
+      auto door = ConcurrentProtectedDatabase::Open(
+          (base / "door").string(), "items", &clock, opts, copts);
+      ASSERT_TRUE(door.ok()) << door.status().ToString();
+      ProtectedDatabaseOptions sopts = opts;
+      sopts.defer_delay_sleep = true;  // Charge without sleeping.
+      auto serial = ProtectedDatabase::Open((base / "serial").string(),
+                                            "items", &clock, sopts);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(LoadItems(door->get(), kRows));
+      ASSERT_NO_FATAL_FAILURE(LoadItems(serial->get(), kRows));
+
+      Rng rng(6151u * seed);
+      ZipfDistribution zipf(kRows, 1.1);
+      std::vector<DoorOp> ops = prefix;
+      for (int i = 0; i < tail_ops; ++i) {
+        ops.push_back({rng.Uniform(10) < 3,
+                       static_cast<int64_t>(zipf.Sample(&rng))});
+      }
+      for (size_t i = 0; i < ops.size(); ++i) {
+        auto got = RunOp(door->get(), ops[i]);
+        auto want = RunOp(serial->get(), ops[i]);
+        ASSERT_TRUE(got.ok()) << "op " << i << ": " << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << "op " << i << ": "
+                               << want.status().ToString();
+        ASSERT_NEAR(got->delay_seconds, want->delay_seconds,
+                    1e-12 * want->delay_seconds)
+            << "beta " << beta << " seed " << seed << " op " << i << " ("
+            << (ops[i].select ? "SELECT" : "get") << " of key "
+            << ops[i].key << ")";
+      }
+    }
+  }
+  std::filesystem::remove_all(base);
 }
 
 }  // namespace

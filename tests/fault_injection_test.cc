@@ -709,7 +709,6 @@ TEST(CrashTortureTest, MvccGroupCommitReplaysIdempotently) {
   opts.popularity.bounds = {0.0, 10.0};
   opts.table_options = rig.Options();
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.mvcc_reclaim_every_commits = 4;  // Partial reclaim guaranteed.
   copts.serve_delays = false;
   obs::MetricRegistry metrics;
@@ -902,7 +901,6 @@ DoorLedgerRun RunShardedDoorThenCrash(const std::string& dir,
   DoorLedgerRun run;
   {
     ConcurrentDatabaseOptions copts;
-    copts.mode = ConcurrencyMode::kSharded;
     auto cdb = ConcurrentProtectedDatabase::Open(dir, "items", &clock, opts,
                                                  copts);
     EXPECT_TRUE(cdb.ok()) << cdb.status().ToString();
@@ -962,14 +960,13 @@ TEST(DoorLedgerTest, DefaultCadenceKeepsCheckpointedCharges) {
 constexpr uint64_t kAliceId = 42;
 constexpr uint32_t kAliceSubnet = 0x0A000100;  // 10.0.1.0/24
 
-enum class Door { kGate, kGateDeferred, kGlobalLock, kSharded };
+enum class Door { kGate, kGateDeferred, kSharded };
 enum class Shape { kPoint, kRange3 };
 
 std::string DoorName(Door d) {
   switch (d) {
     case Door::kGate: return "Gate";
     case Door::kGateDeferred: return "GateDeferred";
-    case Door::kGlobalLock: return "GlobalLock";
     case Door::kSharded: return "Sharded";
   }
   return "?";
@@ -1043,8 +1040,6 @@ TEST_P(ChargedEqualsLedgerTest, EscalatedPrincipal) {
     ASSERT_TRUE((*pdb)->Checkpoint().ok());
   } else {
     ConcurrentDatabaseOptions copts;
-    copts.mode = door == Door::kGlobalLock ? ConcurrencyMode::kGlobalLock
-                                           : ConcurrencyMode::kSharded;
     copts.reputation = &store;
     auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
                                                  &clock, opts, copts);
@@ -1083,7 +1078,7 @@ TEST_P(ChargedEqualsLedgerTest, EscalatedPrincipal) {
 INSTANTIATE_TEST_SUITE_P(
     EveryDoor, ChargedEqualsLedgerTest,
     ::testing::Combine(::testing::Values(Door::kGate, Door::kGateDeferred,
-                                         Door::kGlobalLock, Door::kSharded),
+                                         Door::kSharded),
                        ::testing::Values(Shape::kPoint, Shape::kRange3)),
     [](const ::testing::TestParamInfo<std::tuple<Door, Shape>>& info) {
       return DoorName(std::get<0>(info.param)) +
@@ -1148,7 +1143,6 @@ TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
   opts.popularity.scale = 0.001;  // ~1ms stalls when actually served.
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.async_stalls = true;
   copts.governor = &gov;
   auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
@@ -1200,7 +1194,6 @@ TEST(ResourceGovernorTest, WriteShedsOnWalBacklog) {
   ProtectedDatabaseOptions opts;
   opts.popularity.scale = 0.001;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   copts.governor = &gov;
   auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
@@ -1293,7 +1286,6 @@ TEST(ResourceGovernorTest, ShutdownCancelledStallKeepsCharge) {
   opts.popularity.scale = 1000.0;  // ~1000s stall: never expires here.
   opts.popularity.bounds = {5.0, 3600.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.async_stalls = true;
   copts.governor = &gov;
   copts.metrics = &registry;

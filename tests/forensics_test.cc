@@ -124,7 +124,6 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenAuditedDb(
   opts.popularity.scale = 1e-3;
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;  // Charges recorded, stalls skipped.
   copts.metrics = metrics;
   auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
@@ -369,7 +368,6 @@ TEST(TraceExportTest, SpanCountMatchesRetainedUnion) {
   opts.popularity.scale = 1e-3;
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   copts.metrics = &registry;
   copts.trace_sink = &sink;

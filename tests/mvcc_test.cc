@@ -187,7 +187,6 @@ class MvccTest : public ::testing::Test {
   void OpenDb(int rows, ProtectedDatabaseOptions opts,
               ConcurrentDatabaseOptions copts, Clock* clock = nullptr) {
     if (clock == nullptr) clock = &clock_;
-    copts.mode = ConcurrencyMode::kSharded;
     copts.serve_delays = false;
     copts.metrics = &metrics_;
     auto cdb = ConcurrentProtectedDatabase::Open(dir_.string(), "items",

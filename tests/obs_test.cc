@@ -191,6 +191,27 @@ TEST(ExpositionTest, PrometheusTextShape) {
   EXPECT_NE(text.find("tarpit_lat_count 2"), std::string::npos);
 }
 
+// A family registered in pieces (another metric between its series)
+// is still exposed once: one # TYPE line, then its series together.
+TEST(ExpositionTest, PrometheusTextEmitsEachFamilyOnce) {
+  obs::MetricRegistry reg;
+  reg.GetCounter("tarpit_split_total", {{"door", "a"}})->Increment(1);
+  reg.GetGauge("tarpit_between")->Set(5);
+  reg.GetCounter("tarpit_split_total", {{"door", "b"}})->Increment(2);
+  const std::string text = obs::ToPrometheusText(reg.Snapshot());
+  const std::string type = "# TYPE tarpit_split_total counter\n";
+  const size_t first = text.find(type);
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_EQ(text.find(type, first + 1), std::string::npos) << text;
+  EXPECT_NE(text.find(type + "tarpit_split_total{door=\"a\"} 1\n"
+                             "tarpit_split_total{door=\"b\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE tarpit_between gauge\ntarpit_between 5\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(ExpositionTest, JsonContainsSeries) {
   obs::MetricRegistry reg;
   reg.GetCounter("a_total", {{"k", "v"}})->Increment(5);
@@ -354,7 +375,6 @@ TEST(ObsIntegrationTest, DatabasePublishesMetricsAndTraces) {
   ProtectedDatabaseOptions opts;
   opts.mode = DelayMode::kAccessPopularity;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = true;  // Virtual clock: sleeps advance time.
   copts.metrics = &registry;
   copts.trace_sink = &sink;

@@ -324,7 +324,6 @@ TEST(ConcurrentPlanCacheTest, CreateIndexFencesPendingMvccWrites) {
   ProtectedDatabaseOptions opts;
   opts.mode = DelayMode::kNone;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   copts.mvcc_reclaim_every_commits = 0;  // Keep versions pending until
                                          // something fences.

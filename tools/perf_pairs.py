@@ -27,7 +27,11 @@ change won (ties count for neither side) and a verdict:
   -           a per-layer metric (no bound) that is not a gain.
 
 A run that is not `correct`, fails ops or exits non-zero is reported
-and makes the script exit 1. Run it on an otherwise idle machine.
+and makes the script exit 1. So does a checkout whose
+.bench_build/perfbench was configured from another tree's perfbench/
+(a copy made with its build directory, e.g. by `cp -a`): perfbench
+reuses an existing CMake cache, so that checkout would build and
+measure the other tree. Run it on an otherwise idle machine.
 """
 
 import argparse
@@ -74,6 +78,24 @@ def run_once(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     result["exit"] = proc.returncode
     return result
+
+
+def foreign_build(checkout):
+    """The CMake cache path if `checkout`'s perfbench build was configured
+    from another source tree, else None."""
+    cache = os.path.join(checkout, ".bench_build", "perfbench",
+                         "CMakeCache.txt")
+    if not os.path.exists(cache):
+        return None
+    with open(cache) as f:
+        for line in f:
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                home = line.split("=", 1)[1].strip()
+                own = os.path.join(checkout, "perfbench")
+                if os.path.realpath(home) != os.path.realpath(own):
+                    return cache
+                return None
+    return None
 
 
 def value(r, name):
@@ -127,6 +149,15 @@ def main():
                for m in bench["end_to_end"] + bench["per_layer"]]
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+
+    for side, checkout in sides.items():
+        cache = foreign_build(checkout)
+        if cache:
+            sys.stderr.write(
+                "%s checkout %s: %s was configured from another tree's "
+                "perfbench/; delete %s and rerun\n"
+                % (side, checkout, cache, os.path.dirname(cache)))
+            return 1
 
     runs = {"parent": [], "change": []}
     seeds = parse_seeds(args.seeds)

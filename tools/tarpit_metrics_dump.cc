@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
     opts.persist_counts = true;
     opts.count_cache_capacity = static_cast<size_t>(args.rows) / 4 + 1;
     ConcurrentDatabaseOptions copts;
-    copts.mode = ConcurrencyMode::kSharded;
     copts.async_stalls = true;  // Virtual wheel: instant fire.
     copts.metrics = &registry;
     copts.trace_sink = &trace_sink;

@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
   opts.popularity.bounds.min_seconds = 0.001;
   opts.popularity.bounds.max_seconds = 0.060;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.async_stalls = true;
   copts.governor = &governor;
   copts.metrics = &registry;
